@@ -52,7 +52,6 @@ DEFAULT_THRESHOLD = 0.30
 GATES: tuple[tuple[str, str, str], ...] = (
     ("test_standard_campaign_events_per_second", "events_per_second", "higher"),
     ("test_mainnet_peer_scaling", "events_per_second_15k", "higher"),
-    ("test_queue_churn_throughput", "queue_events_per_second", "higher"),
     ("test_parallel_sweep_speedup", "speedup", "higher"),
     ("test_tracing_noop_overhead", "plain_events_per_second", "higher"),
     ("test_tracing_noop_overhead", "traced_events_per_second", "higher"),

@@ -1,25 +1,22 @@
-"""Backend-tagged canonical-chain pin digests (CI artifact + gate).
+"""Canonical pin digests (CI artifact + gate).
 
-Every CI matrix leg runs::
+Every CI test leg runs::
 
-    python -m repro.devtools.pindigest --backend calendar \\
-        --out pin-digests-calendar.json --check
+    python -m repro.devtools.pindigest --out pin-digests.json --check
 
-which replays the repo's two seed-pinned campaigns — the seed-55 small
-campaign and the mainnet smoke window — under the leg's event-queue
-backend, writes the digests as a small JSON artifact (uploaded per leg,
-so a cross-backend divergence is diffable straight from the CI run
+which replays the repo's seed-pinned campaigns — the seed-55 small
+campaign (its canonical chain and its traced ``.trace.bin`` bytes) and
+the mainnet smoke window — writes the digests as a small JSON artifact
+(uploaded per leg, so a divergence is diffable straight from the CI run
 page), and with ``--check`` fails the leg unless every digest matches
 the canonical values pinned here.
 
-The pinned values are the *same* digests the tier-1 suite asserts
-(``tests/integration/test_determinism.py`` and
-``tests/experiments/test_mainnet_preset.py``); this tool exists so the
-determinism contract is enforced *per matrix leg, against a value
-committed in one place*, rather than only inside a single pytest
-process where both backends necessarily share one build.  A digest may
-only change when a PR deliberately alters RNG draw order, and such a PR
-must update :data:`EXPECTED_PINS` and say so.
+:data:`EXPECTED_PINS` is the one home of these values: the tier-1 pin
+tests (``tests/integration/test_determinism.py`` and
+``tests/experiments/test_mainnet_preset.py``) read them from here.  A
+digest may only change when a PR deliberately alters RNG draw order or
+the trace encoding, and such a PR must update :data:`EXPECTED_PINS` and
+say so.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -37,12 +35,11 @@ from repro.measurement.campaign import Campaign, CampaignConfig
 from repro.node.miner import MAINNET_INTER_BLOCK_TIME
 
 #: Artifact schema, bumped on incompatible layout changes.
-PIN_SCHEMA = 1
+PIN_SCHEMA = 2
 
-#: Canonical digests per pinned campaign — backend-independent by the
-#: determinism contract (DESIGN.md §5g): the calendar backend must
-#: replay the heap's ``(time, priority, sequence)`` drain order bit for
-#: bit, so one expected value covers every backend.
+#: Canonical digests per pinned campaign.  ``*_trace`` pins hash the
+#: run's in-memory-saved ``.trace.bin``; the others hash the canonical
+#: chain (see :func:`chain_digest`).
 EXPECTED_PINS: dict[str, str] = {
     "small_seed55": (
         "aff2ea94748b9462f59cc134da366767120cfe31d5a30d8cf79bd20909e4c609"
@@ -50,13 +47,24 @@ EXPECTED_PINS: dict[str, str] = {
     "mainnet_smoke_seed55": (
         "8a86a8f682a43d12b88982a0f64859a1f261e7b24d889c9b05f403ba913e6765"
     ),
+    "small_seed55_trace": (
+        "85cf4988cba3759b305f4a641cb4f8e96832ee5734fa9060e60acb1eb89035c5"
+    ),
 }
+
+
+def chain_digest(canonical_hashes: Sequence[str]) -> str:
+    """sha256 of a canonical chain's comma-joined block hashes."""
+    return hashlib.sha256(",".join(canonical_hashes).encode()).hexdigest()
 
 
 def _pin_config(name: str) -> CampaignConfig:
     """Campaign config behind a pin (mirrors the tier-1 pin tests)."""
     if name == "small_seed55":
         return small_campaign(seed=55)
+    if name == "small_seed55_trace":
+        config = small_campaign(seed=55)
+        return replace(config, scenario=replace(config.scenario, trace=True))
     if name == "mainnet_smoke_seed55":
         config = mainnet_campaign(seed=55)
         return replace(
@@ -67,34 +75,25 @@ def _pin_config(name: str) -> CampaignConfig:
     raise ValueError(f"unknown pin {name!r}")
 
 
-def compute_pin(name: str, backend: Optional[str]) -> str:
-    """Canonical-chain digest of one pinned campaign under ``backend``.
-
-    ``backend`` is set as an *explicit* scenario override (beating the
-    ``REPRO_QUEUE_BACKEND`` environment), so the artifact really
-    measures the backend its filename claims.
-    """
-    config = _pin_config(name)
-    if backend is not None:
-        config = replace(
-            config, scenario=replace(config.scenario, queue_backend=backend)
-        )
-    dataset = Campaign(config).run()
-    hashes = dataset.chain.canonical_hashes
-    return hashlib.sha256(",".join(hashes).encode()).hexdigest()
+def compute_pin(name: str) -> str:
+    """Digest of one pinned campaign (see :data:`EXPECTED_PINS`)."""
+    campaign = Campaign(_pin_config(name))
+    dataset = campaign.run()
+    if not name.endswith("_trace"):
+        return chain_digest(dataset.chain.canonical_hashes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = campaign.save_trace(Path(tmp) / "pin.trace.bin", preset="small")
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def build_artifact(
-    backend: Optional[str], only: Optional[Sequence[str]] = None
-) -> dict[str, Any]:
+def build_artifact(only: Optional[Sequence[str]] = None) -> dict[str, Any]:
     names = list(only) if only else list(EXPECTED_PINS)
     for name in names:
         if name not in EXPECTED_PINS:
             raise ValueError(f"unknown pin {name!r}")
     return {
         "schema": PIN_SCHEMA,
-        "backend": backend or "default",
-        "pins": {name: compute_pin(name, backend) for name in names},
+        "pins": {name: compute_pin(name) for name in names},
     }
 
 
@@ -104,22 +103,15 @@ def check_artifact(artifact: dict[str, Any]) -> list[str]:
     for name, digest in artifact["pins"].items():
         expected = EXPECTED_PINS[name]
         if digest != expected:
-            failures.append(
-                f"{name} [{artifact['backend']}]: digest {digest} != "
-                f"pinned {expected}"
-            )
+            failures.append(f"{name}: digest {digest} != pinned {expected}")
     return failures
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pindigest",
-        description="Replay the seed-pinned campaigns under one queue "
-        "backend; write (and optionally gate) the canonical digests.",
-    )
-    parser.add_argument(
-        "--backend", default=None, choices=("heap", "calendar"),
-        help="event-queue backend to pin (default: the session default)",
+        description="Replay the seed-pinned campaigns; write (and "
+        "optionally gate) the canonical digests.",
     )
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -134,13 +126,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="restrict to one pin (repeatable; default: all)",
     )
     args = parser.parse_args(argv)
-    artifact = build_artifact(args.backend, only=args.only)
+    artifact = build_artifact(only=args.only)
     rendered = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         args.out.write_text(rendered)
         print(f"wrote {args.out}")
     for name, digest in artifact["pins"].items():
-        print(f"  {name} [{artifact['backend']}]: {digest}")
+        print(f"  {name}: {digest}")
     if args.check:
         failures = check_artifact(artifact)
         if failures:

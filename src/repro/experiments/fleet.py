@@ -454,7 +454,6 @@ def _parse_sim_metrics(payload: object) -> Optional[SimMetrics]:
                 if payload.get("queue_high_water") is not None
                 else None
             ),
-            queue_backend=str(payload.get("queue_backend", "heap")),
         )
     except (KeyError, TypeError, ValueError):
         return None

@@ -34,13 +34,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.recorder import TraceRecorder
-from repro.sim.calqueue import MIN_BUCKETS, _SCAN_JUMP, _SHRINK_SHIFT, CalendarQueue
-from repro.sim.events import (
-    DEFAULT_PRIORITY,
-    Event,
-    EventQueue,
-    resolve_queue_backend,
-)
+from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.profile import SimMetrics, SimProfile, event_label
 from repro.sim.rng import RngRegistry
 
@@ -52,30 +46,18 @@ class Simulator:
         seed: Root seed for every RNG stream used in the run.
         profile: Collect per-event-type counters and timings (adds two
             clock reads per event; leave off for production campaigns).
-        queue_backend: Event-queue implementation — ``"heap"`` or
-            ``"calendar"`` (see :mod:`repro.sim.calqueue`).  ``None``
-            defers to the ``REPRO_QUEUE_BACKEND`` environment variable,
-            then the default (``heap``).  Both backends fire events in
-            the identical ``(time, priority, sequence)`` order, so this
-            only ever changes wall-clock cost, never outcomes.
 
     Attributes:
         now: Current simulated time in seconds.
         rng: Namespaced RNG registry rooted at ``seed``.
         trace: The run's :class:`TraceRecorder` (disabled by default).
-        queue_backend: The resolved event-queue backend name.
         events_processed: Number of events fired so far.
         budget_exhausted: True when the most recent :meth:`run` stopped
             because it hit its ``max_events`` budget (the run was
             truncated, not drained).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        profile: bool = False,
-        queue_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, profile: bool = False) -> None:
         self.now: float = 0.0
         self.seed = seed
         self.rng = RngRegistry(seed)
@@ -84,10 +66,7 @@ class Simulator:
         self.profile: Optional[SimProfile] = SimProfile() if profile else None
         self.trace = TraceRecorder()
         self._run_wall_seconds: float = 0.0
-        self.queue_backend = resolve_queue_backend(queue_backend)
-        self._queue: Any = (
-            EventQueue() if self.queue_backend == "heap" else CalendarQueue()
-        )
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
 
@@ -210,15 +189,10 @@ class Simulator:
         drained = False
         started = time.perf_counter()
         try:
-            if self.queue_backend == "heap":
-                if self.profile is None:
-                    drained = self._run_fast(until, max_events)
-                else:
-                    drained = self._run_profiled(until, max_events)
-            elif self.profile is None:
-                drained = self._run_fast_calendar(until, max_events)
+            if self.profile is None:
+                drained = self._run_fast(until, max_events)
             else:
-                drained = self._run_profiled_calendar(until, max_events)
+                drained = self._run_profiled(until, max_events)
         finally:
             self._running = False
             self._run_wall_seconds += time.perf_counter() - started
@@ -327,185 +301,6 @@ class Simulator:
             fired += 1
             self.events_processed += 1
 
-    def _run_fast_calendar(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> bool:
-        """Tight calendar-backend loop; same semantics as :meth:`_run_fast`.
-
-        Inlines :meth:`CalendarQueue.pop_entry`'s cursor walk so the hot
-        path pays no per-event method call.  The queue's bucket table,
-        mask, width and cursor are bound as locals and re-read whenever
-        the queue's generation counter changes (a callback's push can
-        trigger a rebuild) or a push behind the cursor pulls it back.
-        The cursor local is written back to the queue at every pop —
-        *before* the callback runs — so pushes and rebuilds inside
-        callbacks always see a consistent cursor.  The drain boundary
-        ``time * inv_width >= vb + 1`` is exactly the placement test
-        ``int(time * inv_width) > vb`` (same float product; ``floor(x) >
-        vb`` iff ``x >= vb + 1`` for ``x >= 0``), so ordering matches
-        :meth:`CalendarQueue.pop_entry` bit for bit.
-        """
-        queue = self._queue
-        horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        fired = 0
-        gen = queue._gen
-        buckets = queue._buckets
-        mask = queue._mask
-        inv_width = queue._inv_width
-        vb = queue._cur_vb
-        horizon_vb = None if until is None else int(horizon * inv_width)
-        scanned = 0
-        try:
-            while True:
-                if self._stopped:
-                    queue._cur_vb = vb
-                    return False
-                if fired >= budget:
-                    self.budget_exhausted = True
-                    queue._cur_vb = vb
-                    return False
-                if queue._count == 0:
-                    queue._cur_vb = vb
-                    return True
-                if horizon_vb is not None and vb > horizon_vb:
-                    # Everything left fires strictly after the horizon;
-                    # park the cursor at the horizon's own year, never
-                    # past it (the caller may schedule into that year).
-                    if horizon_vb > queue._cur_vb:
-                        queue._cur_vb = horizon_vb
-                    self.now = horizon
-                    return False
-                bucket = buckets[vb & mask]
-                if bucket:
-                    entry = bucket[0]
-                    event_time = entry[0]
-                    if event_time * inv_width < vb + 1:
-                        if event_time > horizon:
-                            queue._cur_vb = vb
-                            self.now = horizon
-                            return False
-                        heappop(bucket)
-                        queue._count -= 1
-                        obj = entry[3]
-                        if obj.cancelled:
-                            queue._cancelled -= 1
-                            continue
-                        queue._cur_vb = vb
-                        queue._last_pop_time = event_time
-                        self.now = event_time
-                        if len(entry) == 5:
-                            obj.fire(entry[4])
-                        else:
-                            obj.callback()
-                        fired += 1
-                        scanned = 0
-                        if queue._gen != gen:
-                            gen = queue._gen
-                            buckets = queue._buckets
-                            mask = queue._mask
-                            inv_width = queue._inv_width
-                            vb = queue._cur_vb
-                            if until is not None:
-                                horizon_vb = int(horizon * inv_width)
-                        elif queue._cur_vb < vb:
-                            # A push behind the cursor pulled it back.
-                            vb = queue._cur_vb
-                        continue
-                # Bucket empty for this year (or its head belongs to a
-                # later one): advance the cursor.
-                vb += 1
-                scanned += 1
-                if scanned >= _SCAN_JUMP:
-                    if (
-                        queue._count < (mask + 1) >> _SHRINK_SHIFT
-                        and mask + 1 > MIN_BUCKETS
-                    ):
-                        # Near-empty table paying real scan time: re-tune
-                        # it (O(live) — cheap by the same condition)
-                        # instead of running the O(n_buckets) jump scan.
-                        queue._resizes += 1
-                        queue._rebuild(shrink=True)
-                        gen = queue._gen
-                        buckets = queue._buckets
-                        mask = queue._mask
-                        inv_width = queue._inv_width
-                        vb = queue._cur_vb
-                        if until is not None:
-                            horizon_vb = int(horizon * inv_width)
-                        scanned = 0
-                        continue
-                    # Long empty stretch: jump to the earliest entry.
-                    # Equal times share a bucket, so the earliest bucket
-                    # head is the global minimum.  Only the logical
-                    # prefix can hold entries — the physical table keeps
-                    # its high-water capacity after a shrink.
-                    earliest = None
-                    for candidate in buckets[: mask + 1]:
-                        if candidate and (
-                            earliest is None or candidate[0] < earliest
-                        ):
-                            earliest = candidate[0]
-                    if earliest is not None:
-                        vb = int(earliest[0] * inv_width)
-                    scanned = 0
-        finally:
-            self.events_processed += fired
-
-    def _run_profiled_calendar(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> bool:
-        """Instrumented calendar loop; same semantics as :meth:`_run_fast_calendar`.
-
-        Dispatches through :meth:`CalendarQueue.pop_entry` (profiling
-        already pays two clock reads per event, so the method call is
-        noise here) and adds the per-label counters plus the queue-depth
-        high-water mark.
-        """
-        queue = self._queue
-        profile = self.profile
-        assert profile is not None
-        counts = profile.event_counts
-        seconds = profile.event_seconds
-        horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        fired = 0
-        while True:
-            if self._stopped:
-                return False
-            if fired >= budget:
-                self.budget_exhausted = True
-                return False
-            depth = queue._count
-            if depth > profile.queue_high_water:
-                profile.queue_high_water = depth
-            entry = queue.pop_entry(horizon)
-            if entry is None:
-                if queue.live_count == 0:
-                    return True
-                self.now = horizon  # horizon stop, not a drain
-                return False
-            event_time = entry[0]
-            obj = entry[3]
-            self.now = event_time
-            if len(entry) == 5:
-                label = obj.profile_label
-                t0 = time.perf_counter()
-                obj.fire(entry[4])
-                elapsed = time.perf_counter() - t0
-            else:
-                callback = obj.callback
-                label = getattr(obj, "profile_label", None)
-                if label is None:
-                    label = event_label(callback)
-                t0 = time.perf_counter()
-                callback()
-                elapsed = time.perf_counter() - t0
-            counts[label] = counts.get(label, 0) + 1
-            seconds[label] = seconds.get(label, 0.0) + elapsed
-            fired += 1
-            self.events_processed += 1
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
@@ -516,13 +311,8 @@ class Simulator:
         return self._queue.live_count
 
     def queue_stats(self) -> dict[str, float]:
-        """Backend-portable queue counters (cold path, for ``repro.obs``).
-
-        Both backends report the same keys — depth, live entries, total
-        pushes, pending corpses and compactions; the calendar backend
-        additionally populates resize count, bucket count and bucket
-        width (the heap reports zeros for those).
-        """
+        """Queue counters (cold path, for ``repro.obs``): depth, live
+        entries, total pushes, pending corpses and compactions."""
         return self._queue.stats()
 
     @property
@@ -544,5 +334,4 @@ class Simulator:
             event_counts=dict(profile.event_counts) if profile else {},
             event_seconds=dict(profile.event_seconds) if profile else {},
             queue_high_water=profile.queue_high_water if profile else None,
-            queue_backend=self.queue_backend,
         )

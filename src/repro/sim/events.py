@@ -26,50 +26,12 @@ third slot and the mixed-arity entries never compare their payloads.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 #: Default event priority.  Lower numbers fire first among simultaneous events.
 DEFAULT_PRIORITY = 100
-
-#: Recognised event-queue backends.  ``heap`` is the binary heap below;
-#: ``calendar`` is :class:`repro.sim.calqueue.CalendarQueue`, the O(1)
-#: amortised-insert timing wheel.  Both drain entries in the identical
-#: ``(time, priority, sequence)`` total order (differential-tested), so
-#: the backend choice can never change a simulation's outcome — only its
-#: wall-clock cost.
-QUEUE_BACKENDS: tuple[str, ...] = ("heap", "calendar")
-
-#: Backend used when neither the config nor the environment chooses one.
-DEFAULT_QUEUE_BACKEND = "heap"
-
-#: Environment override consulted when no explicit backend is configured
-#: (the CI determinism matrix sets this to run every pin on both
-#: backends).
-QUEUE_BACKEND_ENV = "REPRO_QUEUE_BACKEND"
-
-
-def resolve_queue_backend(value: Optional[str] = None) -> str:
-    """Resolve the event-queue backend name.
-
-    Precedence: an explicit ``value`` wins, then the
-    :data:`QUEUE_BACKEND_ENV` environment variable, then
-    :data:`DEFAULT_QUEUE_BACKEND`.  Explicit-over-environment matters:
-    the CI matrix flips whole test runs through the environment, while a
-    test comparing the two backends pins each side explicitly.
-
-    Raises:
-        ConfigurationError: for unrecognised backend names.
-    """
-    backend = value or os.environ.get(QUEUE_BACKEND_ENV) or DEFAULT_QUEUE_BACKEND
-    if backend not in QUEUE_BACKENDS:
-        raise ConfigurationError(
-            f"unknown queue backend {backend!r}; expected one of "
-            f"{', '.join(QUEUE_BACKENDS)}"
-        )
-    return backend
 
 #: Below this heap size, cancelled entries are never compacted: popping a
 #: few dead timers is cheaper than rebuilding the heap, and it keeps the
@@ -136,9 +98,6 @@ class EventQueue:
     delay).
     """
 
-    #: Backend tag reported through ``stats()`` and ``repro.obs``.
-    backend = "heap"
-
     def __init__(self) -> None:
         self._heap: list[Any] = []
         self._sequence = 0
@@ -152,12 +111,6 @@ class EventQueue:
     @property
     def live_count(self) -> int:
         """Number of scheduled events that will actually fire."""
-        count = len(self._heap) - self._cancelled
-        return count if count > 0 else 0
-
-    @property
-    def pending_events(self) -> int:
-        """Alias of :attr:`live_count` (the backend-portable spelling)."""
         count = len(self._heap) - self._cancelled
         return count if count > 0 else 0
 
@@ -245,7 +198,7 @@ class EventQueue:
         triggered mid-drain (the dead fraction can cross one half while
         corpses pop) resets the counter to zero, and subtracting the
         locally-tallied corpses afterwards would drive it negative,
-        permanently inflating :attr:`pending_events`.
+        permanently inflating :attr:`live_count`.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -279,16 +232,13 @@ class EventQueue:
         self._cancelled = 0
 
     def stats(self) -> dict[str, float]:
-        """Backend-portable queue counters (see ``CalendarQueue.stats``)."""
+        """Queue counters mirrored into ``repro.obs`` metrics snapshots."""
         return {
             "depth": float(len(self._heap)),
             "live": float(self.live_count),
             "pushed_total": float(self._sequence),
             "cancelled_pending": float(self._cancelled),
             "compactions_total": float(self._compactions),
-            "resizes_total": 0.0,
-            "buckets": 0.0,
-            "width": 0.0,
         }
 
     def _compact(self) -> None:

@@ -98,7 +98,6 @@ def format_event_profile(metrics) -> str:
     lines.append(f"simulated time   : {metrics.simulated_seconds:,.1f} s")
     lines.append(f"event-loop wall  : {metrics.run_wall_seconds:,.2f} s")
     lines.append(f"events / second  : {metrics.events_per_second:,.0f}")
-    lines.append(f"queue backend    : {metrics.queue_backend}")
     if metrics.queue_high_water is not None:
         lines.append(f"queue high-water : {metrics.queue_high_water:,}")
     return "\n".join(lines)

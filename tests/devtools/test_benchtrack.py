@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.devtools.benchtrack import (
+    CEILINGS,
+    FLOORS,
+    GATES,
     compare_records,
     main,
     reduce_benchmarks,
 )
+
+BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def _raw(events_per_second: float = 14_000.0) -> dict:
@@ -175,3 +182,18 @@ def test_cli_compare_reports_missing_files(tmp_path):
             "--record", str(tmp_path / "nope.json"),
             "--baseline", str(tmp_path / "nope.json"),
         ])
+
+
+def test_every_gated_bench_exists_under_benchmarks():
+    """``compare`` skips metrics a record lacks, so a gate whose bench was
+    deleted would pass silently forever; every gate must name a live
+    ``test_*`` function in ``benchmarks/``."""
+    defined = {
+        node.name
+        for path in BENCHMARKS_DIR.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+    gated = {gate[0] for gate in (*GATES, *FLOORS, *CEILINGS)}
+    assert gated
+    assert gated <= defined, sorted(gated - defined)

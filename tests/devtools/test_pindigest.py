@@ -8,45 +8,40 @@ import pytest
 
 from repro.devtools.pindigest import (
     EXPECTED_PINS,
+    PIN_SCHEMA,
     build_artifact,
     check_artifact,
     main,
 )
 
 
-def test_small_pin_matches_canonical_value_under_both_backends():
-    for backend in ("heap", "calendar"):
-        artifact = build_artifact(backend, only=["small_seed55"])
-        assert artifact["backend"] == backend
-        assert artifact["pins"]["small_seed55"] == EXPECTED_PINS["small_seed55"]
-        assert check_artifact(artifact) == []
+def test_small_pin_matches_canonical_value():
+    artifact = build_artifact(only=["small_seed55"])
+    assert artifact == {
+        "schema": PIN_SCHEMA,
+        "pins": {"small_seed55": EXPECTED_PINS["small_seed55"]},
+    }
+    assert check_artifact(artifact) == []
 
 
 def test_check_reports_divergence():
-    artifact = {
-        "schema": 1,
-        "backend": "calendar",
-        "pins": {"small_seed55": "0" * 64},
-    }
+    artifact = {"schema": PIN_SCHEMA, "pins": {"small_seed55": "0" * 64}}
     failures = check_artifact(artifact)
     assert len(failures) == 1
     assert "small_seed55" in failures[0]
-    assert "calendar" in failures[0]
+    assert EXPECTED_PINS["small_seed55"] in failures[0]
 
 
 def test_unknown_pin_rejected():
     with pytest.raises(ValueError):
-        build_artifact("heap", only=["nope"])
+        build_artifact(only=["nope"])
 
 
 def test_cli_writes_artifact_and_gates(tmp_path, capsys):
     out = tmp_path / "pins.json"
-    code = main(
-        ["--backend", "calendar", "--only", "small_seed55", "--out", str(out),
-         "--check"]
-    )
+    code = main(["--only", "small_seed55", "--out", str(out), "--check"])
     assert code == 0
     artifact = json.loads(out.read_text())
-    assert artifact["backend"] == "calendar"
+    assert artifact["schema"] == PIN_SCHEMA
     assert artifact["pins"] == {"small_seed55": EXPECTED_PINS["small_seed55"]}
     assert "match the canonical values" in capsys.readouterr().out

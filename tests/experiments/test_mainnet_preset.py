@@ -10,9 +10,9 @@ the tier-1 suite.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 
+from repro.devtools.pindigest import EXPECTED_PINS, chain_digest
 from repro.experiments.presets import mainnet_campaign, preset
 from repro.measurement.campaign import Campaign
 from repro.node.miner import MAINNET_INTER_BLOCK_TIME
@@ -70,39 +70,7 @@ def test_mainnet_smoke_canonical_chain_pinned():
     assert first.chain.canonical_hashes == second.chain.canonical_hashes
 
     hashes = first.chain.canonical_hashes
-    digest = hashlib.sha256(",".join(hashes).encode()).hexdigest()
     assert len(hashes) == 29
     assert hashes[-1] == "0x27860f438a83ab12ec255629ca3e5bde"
-    assert (
-        digest
-        == "8a86a8f682a43d12b88982a0f64859a1f261e7b24d889c9b05f403ba913e6765"
-    )
+    assert chain_digest(hashes) == EXPECTED_PINS["mainnet_smoke_seed55"]
 
-
-def test_mainnet_smoke_identical_across_queue_backends():
-    """The batched mainnet path drains identically on both queue backends.
-
-    The smoke campaign covers the arity-5 batched gossip entries and the
-    engine's inlined calendar loop; explicit backend overrides keep the
-    comparison meaningful on every CI matrix leg.
-    """
-
-    def run(backend: str):
-        config = _smoke_config(seed=55)
-        return Campaign(
-            replace(
-                config,
-                scenario=replace(config.scenario, queue_backend=backend),
-            )
-        ).run()
-
-    heap, calendar = run("heap"), run("calendar")
-    assert heap.chain.canonical_hashes == calendar.chain.canonical_hashes
-    assert heap.block_messages == calendar.block_messages
-    digest = hashlib.sha256(
-        ",".join(calendar.chain.canonical_hashes).encode()
-    ).hexdigest()
-    assert (
-        digest
-        == "8a86a8f682a43d12b88982a0f64859a1f261e7b24d889c9b05f403ba913e6765"
-    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.devtools.pindigest import EXPECTED_PINS, chain_digest
 from repro.experiments.presets import small_campaign
 from repro.measurement.campaign import Campaign
 
@@ -64,17 +65,11 @@ def test_canonical_chain_pinned_for_seed_55():
     only change when a PR deliberately alters RNG draw order, and such a
     PR must say so (and regenerate EXPERIMENTS.md, as PR 1 did).
     """
-    import hashlib
-
     dataset = Campaign(small_campaign(seed=55)).run()
     hashes = dataset.chain.canonical_hashes
-    digest = hashlib.sha256(",".join(hashes).encode()).hexdigest()
     assert len(hashes) == 42
     assert hashes[-1] == "0x11a3922b4d81ede15e19105f48671269"
-    assert (
-        digest
-        == "aff2ea94748b9462f59cc134da366767120cfe31d5a30d8cf79bd20909e4c609"
-    )
+    assert chain_digest(hashes) == EXPECTED_PINS["small_seed55"]
 
 
 def test_tracing_does_not_perturb_the_seed_55_pin():
@@ -85,55 +80,17 @@ def test_tracing_does_not_perturb_the_seed_55_pin():
     everything else.  The proof obligation is the same digest as the
     untraced pin above — with tracing ON.
     """
-    import hashlib
-
     config = small_campaign(seed=55)
     config = replace(config, scenario=replace(config.scenario, trace=True))
     campaign = Campaign(config)
     dataset = campaign.run()
     hashes = dataset.chain.canonical_hashes
-    digest = hashlib.sha256(",".join(hashes).encode()).hexdigest()
-    assert (
-        digest
-        == "aff2ea94748b9462f59cc134da366767120cfe31d5a30d8cf79bd20909e4c609"
-    )
+    assert chain_digest(hashes) == EXPECTED_PINS["small_seed55"]
     # And the trace actually observed the run.
     trace = campaign.build_trace()
     assert trace.seed == 55
     assert trace.canonical_hashes == tuple(hashes)
     assert len(trace.records) > 0
-
-
-def test_queue_backend_does_not_perturb_the_seed_55_pin():
-    """The calendar queue must replay the heap backend bit for bit.
-
-    Backend choice is an implementation detail of the event loop; the
-    ``(time, priority, sequence)`` drain order — and therefore every
-    digest in the repo — must be invariant under it.  Both backends are
-    requested *explicitly* (the config override beats the
-    ``REPRO_QUEUE_BACKEND`` environment), so this comparison is
-    meaningful on every CI matrix leg, whichever backend the leg pins.
-    """
-    import hashlib
-
-    def run(backend: str):
-        config = small_campaign(seed=55)
-        config = replace(
-            config, scenario=replace(config.scenario, queue_backend=backend)
-        )
-        return Campaign(config).run()
-
-    heap, calendar = run("heap"), run("calendar")
-    assert heap.chain.canonical_hashes == calendar.chain.canonical_hashes
-    assert _fingerprint(heap) == _fingerprint(calendar)
-    assert heap.block_messages == calendar.block_messages
-    digest = hashlib.sha256(
-        ",".join(calendar.chain.canonical_hashes).encode()
-    ).hexdigest()
-    assert (
-        digest
-        == "aff2ea94748b9462f59cc134da366767120cfe31d5a30d8cf79bd20909e4c609"
-    )
 
 
 def test_columnar_trace_container_is_byte_identical_for_seed_55(tmp_path):
@@ -145,8 +102,11 @@ def test_columnar_trace_container_is_byte_identical_for_seed_55(tmp_path):
     diverges the files.  Byte identity holds per write strategy (an
     in-memory save groups blocks by kind, a streamed container carries
     them in seal order); across strategies the decoded record streams
-    must be identical.
+    must be identical.  The in-memory bytes are also pinned across
+    revisions (``small_seed55_trace``), so the metric snapshots and the
+    encoding cannot drift unnoticed either.
     """
+    import hashlib
     from itertools import zip_longest
 
     from repro.obs.export import Trace
@@ -161,9 +121,9 @@ def test_columnar_trace_container_is_byte_identical_for_seed_55(tmp_path):
         campaign.save_trace(path, preset="small")
         return path.read_bytes()
 
-    assert traced(tmp_path / "a.trace.bin", stream=False) == traced(
-        tmp_path / "b.trace.bin", stream=False
-    )
+    saved = traced(tmp_path / "a.trace.bin", stream=False)
+    assert saved == traced(tmp_path / "b.trace.bin", stream=False)
+    assert hashlib.sha256(saved).hexdigest() == EXPECTED_PINS["small_seed55_trace"]
     assert traced(tmp_path / "c.trace.bin", stream=True) == traced(
         tmp_path / "d.trace.bin", stream=True
     )

@@ -219,7 +219,7 @@ def test_pop_until_compaction_mid_drain_keeps_accounting_exact():
     ``pop_until`` used to tally the corpses it crossed and subtract them
     from ``_cancelled`` after the loop; when the dead fraction crossed
     one half mid-drain, the compaction reset the counter to zero first,
-    the deferred subtraction drove it negative, and ``pending_events``
+    the deferred subtraction drove it negative, and ``live_count``
     stayed permanently inflated.  Per-corpse settlement makes the
     compaction trigger and the accounting agree at every step.
     """
@@ -227,7 +227,7 @@ def test_pop_until_compaction_mid_drain_keeps_accounting_exact():
     handles = [queue.push(float(i), lambda: None) for i in range(200)]
     for handle in handles[:150]:
         handle.cancel()
-    assert queue.pending_events == 50
+    assert queue.live_count == 50
     # Every entry at or before the horizon is a corpse; crossing the
     # first one already makes the dead fraction a majority of a heap
     # well above COMPACT_MIN_HEAP, so compaction fires mid-drain.
@@ -236,7 +236,7 @@ def test_pop_until_compaction_mid_drain_keeps_accounting_exact():
     stats = queue.stats()
     assert stats["compactions_total"] == 1.0
     assert stats["cancelled_pending"] == 0.0
-    assert queue.pending_events == 50
+    assert queue.live_count == 50
     rest = queue.pop_until(float("inf"))
     assert [entry[0] for entry in rest] == [float(i) for i in range(150, 200)]
-    assert queue.pending_events == 0
+    assert queue.live_count == 0
