@@ -46,9 +46,7 @@ HOT_ENTRIES: tuple[str, ...] = (
     "Network.send",
     "Network.send_many",
     "Network.send_each",
-    "DeliveryEvent.callback",
-    "BatchDeliveryEvent.fire",
-    "EachDeliveryEvent.fire",
+    "WaveDelivery.fire",
 )
 
 

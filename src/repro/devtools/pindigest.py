@@ -5,15 +5,16 @@ Every CI test leg runs::
     python -m repro.devtools.pindigest --out pin-digests.json --check
 
 which replays the repo's seed-pinned campaigns — the seed-55 small
-campaign (its canonical chain and its traced ``.trace.bin`` bytes) and
-the mainnet smoke window — writes the digests as a small JSON artifact
-(uploaded per leg, so a divergence is diffable straight from the CI run
-page), and with ``--check`` fails the leg unless every digest matches
+campaign (its canonical chain and its traced ``.trace.bin`` bytes, clean
+and under :data:`FAULT_PLAN`) and the mainnet smoke window — writes the
+digests as a small JSON artifact (uploaded per leg, so a divergence is
+diffable straight from the CI run page), and with ``--check`` fails the leg unless every digest matches
 the canonical values pinned here.
 
 :data:`EXPECTED_PINS` is the one home of these values: the tier-1 pin
-tests (``tests/integration/test_determinism.py`` and
-``tests/experiments/test_mainnet_preset.py``) read them from here.  A
+tests (``tests/integration/test_determinism.py``,
+``tests/experiments/test_mainnet_preset.py`` and
+``tests/faults/test_fault_determinism.py``) read them from here.  A
 digest may only change when a PR deliberately alters RNG draw order or
 the trace encoding, and such a PR must update :data:`EXPECTED_PINS` and
 say so.
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.experiments.presets import mainnet_campaign, small_campaign
+from repro.faults import FaultPlan, LinkFaultSpec, PartitionSpec
 from repro.measurement.campaign import Campaign, CampaignConfig
 from repro.node.miner import MAINNET_INTER_BLOCK_TIME
 
@@ -50,7 +52,20 @@ EXPECTED_PINS: dict[str, str] = {
     "small_seed55_trace": (
         "85cf4988cba3759b305f4a641cb4f8e96832ee5734fa9060e60acb1eb89035c5"
     ),
+    "small_seed55_faults_trace": (
+        "88a1461e037c67280041b1cb27e5e992049b8b85f448c84d5fc52b432f079eb0"
+    ),
 }
+
+#: The fault plan behind ``small_seed55_faults_trace``: link faults plus
+#: one Eastern-Asia partition window, so every ``faults.route`` outcome
+#: (partition drop, random drop, duplicate, extra jitter) fires.
+FAULT_PLAN = FaultPlan(
+    links=LinkFaultSpec(
+        drop_prob=0.02, duplicate_prob=0.02, jitter_prob=0.2, jitter_mean=0.2
+    ),
+    partitions=(PartitionSpec(start=200.0, duration=60.0, regions=("EA",)),),
+)
 
 
 def chain_digest(canonical_hashes: Sequence[str]) -> str:
@@ -65,6 +80,8 @@ def _pin_config(name: str) -> CampaignConfig:
     if name == "small_seed55_trace":
         config = small_campaign(seed=55)
         return replace(config, scenario=replace(config.scenario, trace=True))
+    if name == "small_seed55_faults_trace":
+        return replace(_pin_config("small_seed55_trace"), faults=FAULT_PLAN)
     if name == "mainnet_smoke_seed55":
         config = mainnet_campaign(seed=55)
         return replace(

@@ -75,6 +75,11 @@ def base_latency_seconds(a: Region, b: Region) -> float:
     return value / 1000.0
 
 
+def _unit_jitters(count: int) -> list[float]:
+    """The jitter source of an unjittered model: ``count`` exact ones."""
+    return [1.0] * count
+
+
 @dataclass(frozen=True)
 class LatencyModelConfig:
     """Tunable parameters of the latency model.
@@ -138,7 +143,12 @@ class LatencyModel:
         # attribute chain was measurable at mainnet wave rates.
         self._bandwidth = self.config.bandwidth_bytes_per_s
         self._overhead = self.config.per_message_overhead
-        self._jittered = self.config.jitter_sigma > 0
+        # The jitter source is fixed with the config, so pricing never
+        # branches on it: an unjittered model draws nothing and multiplies
+        # every base latency by exactly 1.0 (``x * 1.0 == x``).
+        self._jitters = (
+            self.take_jitters if self.config.jitter_sigma > 0 else _unit_jitters
+        )
         # Base-latency rows keyed by origin region: one dict lookup per
         # destination instead of the two-way tuple probe in
         # base_latency_seconds.  Values are the same ms/1000.0 floats.
@@ -158,25 +168,21 @@ class LatencyModel:
             draws[slow] *= self.config.tail_multiplier
         self._jitter_buffer = draws.tolist()
 
-    def _next_jitter(self) -> float:
-        if not self._jitter_buffer:
-            self._refill_jitter()
-        return self._jitter_buffer.pop()
-
     def take_jitters(self, count: int) -> list[float]:
-        """Consume the next ``count`` jitter draws in scalar order.
+        """Consume the next ``count`` jitter draws.
 
-        Returns exactly the values ``count`` successive
-        :meth:`_next_jitter` calls would, leaving the RNG stream in the
-        identical state — the buffer is consumed from its tail, refilling
-        mid-batch when it runs dry, just like the scalar path.  This is
-        what makes batched sends bitwise-equal to scalar sends.
+        Draws come off the tail of the buffer, which is refilled from the
+        RNG stream whenever it runs dry (also mid-call), so the stream
+        state after N draws is the same however they were grouped into
+        calls.  That is what keeps a wave's delays independent of how
+        the surrounding traffic was batched.
         """
         buffer = self._jitter_buffer
-        if len(buffer) >= count:
-            out = buffer[-count:]
+        start = len(buffer) - count
+        if start >= 0:
+            out = buffer[start:]
             out.reverse()
-            del buffer[-count:]
+            del buffer[start:]
             return out
         out = buffer[::-1]
         del buffer[:]
@@ -198,11 +204,7 @@ class LatencyModel:
         The returned delay is always strictly positive so event ordering in
         the simulator never degenerates to zero-delay loops.
         """
-        base = base_latency_seconds(origin, destination)
-        if self._jittered:
-            base *= self._next_jitter()
-        serialisation = size_bytes / self._bandwidth
-        return max(base + serialisation + self._overhead, 1e-6)
+        return self.delays(origin, (destination,), size_bytes)[0]
 
     def delays(
         self,
@@ -212,13 +214,14 @@ class LatencyModel:
     ) -> list[float]:
         """Sample one delivery delay per destination in a single pass.
 
-        ``size_bytes`` is either one payload size shared by the wave
-        (block push / announce) or a per-destination sequence (transaction
-        flushes).  The result is bitwise-identical to calling
-        :meth:`delay` once per destination in order — the jitter buffer is
-        consumed in scalar order and every arithmetic step keeps the
-        scalar path's operand association — so batched and scalar sends
-        produce the same event times from the same stream state.
+        ``size_bytes`` is either one payload size shared by the wave or a
+        per-destination sequence.  Each delay is
+        ``max(base * jitter + size / bandwidth + overhead, 1e-6)``, with
+        jitter draws taken in destination order (an unjittered model
+        multiplies by exactly ``1.0``).  Waves of at least
+        :attr:`VECTOR_MIN` destinations evaluate it in numpy, smaller ones
+        in a list comprehension; both apply the same IEEE operations in
+        the same association, so the result does not depend on the side.
         """
         row = self._rows.get(origin)
         if row is None:
@@ -230,43 +233,26 @@ class LatencyModel:
                 f"no latency defined between {origin!r} and {error.args[0]!r}"
             ) from None
         count = len(base)
-        if count == 0:
-            return []
+        jitters = self._jitters(count)
+        sizes = (
+            [size_bytes] * count
+            if isinstance(size_bytes, (int, float))
+            else size_bytes
+        )
         bandwidth = self._bandwidth
         overhead = self._overhead
-        per_size = not isinstance(size_bytes, (int, float))
-        if self._jittered:
-            jitters = self.take_jitters(count)
-            if count >= self.VECTOR_MIN:
-                values = np.array(base)
-                values *= np.array(jitters)
-                if per_size:
-                    values += np.asarray(size_bytes, dtype=np.float64) / bandwidth
-                else:
-                    values += size_bytes / bandwidth
-                values += overhead
-                np.maximum(values, 1e-6, out=values)
-                result: list[float] = values.tolist()
-                return result
-            if per_size:
-                sizes = size_bytes  # type: ignore[assignment]
-                return [
-                    max(b * j + sizes[i] / bandwidth + overhead, 1e-6)
-                    for i, (b, j) in enumerate(zip(base, jitters))
-                ]
-            serialisation = size_bytes / bandwidth
-            return [
-                max(b * j + serialisation + overhead, 1e-6)
-                for b, j in zip(base, jitters)
-            ]
-        if per_size:
-            sizes = size_bytes  # type: ignore[assignment]
-            return [
-                max(b + sizes[i] / bandwidth + overhead, 1e-6)
-                for i, b in enumerate(base)
-            ]
-        serialisation = size_bytes / bandwidth
-        return [max(b + serialisation + overhead, 1e-6) for b in base]
+        if count >= self.VECTOR_MIN:
+            values = (
+                np.array(base) * np.array(jitters)
+                + np.array(sizes, dtype=np.float64) / bandwidth
+                + overhead
+            )
+            result: list[float] = np.maximum(values, 1e-6).tolist()
+            return result
+        return [
+            max(b * j + s / bandwidth + overhead, 1e-6)
+            for b, j, s in zip(base, jitters, sizes)
+        ]
 
     def expected_delay(
         self, origin: Region, destination: Region, size_bytes: int = 0

@@ -385,7 +385,11 @@ class TraceRecorder:
         block_hash: str = "",
         tx_count: int = 0,
     ) -> None:
-        """The fabric routed one message with a freshly sampled latency."""
+        """The fabric routed one message with a freshly sampled latency.
+
+        No caller in ``src``; kept because perfbench's ledger wraps it by
+        name (the fabric emits through :meth:`gossip_each`).
+        """
         sym = self._sym
         rows = self._gossip_rows
         rows.extend(
@@ -420,6 +424,9 @@ class TraceRecorder:
         tx_count: int = 0,
     ) -> None:
         """A whole fan-out wave of one message, emitted in one call.
+
+        No caller in ``src``; kept because perfbench's ledger wraps it by
+        name (the fabric emits through :meth:`gossip_each`).
 
         Record-for-record identical to calling :meth:`gossip_send` once
         per recipient in order — the per-message context (kind, sender,
@@ -474,16 +481,17 @@ class TraceRecorder:
         sizes: Sequence[int],
         latencies: Sequence[float],
     ) -> None:
-        """A wave of *distinct* messages (one per recipient), one call.
+        """One routed wave (one message per recipient), in one call.
 
-        Record-for-record identical to :meth:`gossip_send` per recipient
-        in order; ``messages`` is duck-typed (``.kind`` +
-        ``.trace_meta()``) so per-peer transaction batches — the most
-        numerous traffic in a loaded campaign — emit without a Python
-        call per record beyond ``trace_meta`` itself.  Kind and
-        block-hash interning is cached across the runs of equal values
-        these waves produce, and recipient symbols come from the
-        per-node cache.
+        Every message the fabric routes is traced here, single sends as
+        one-recipient waves.  Record-for-record identical to
+        :meth:`gossip_send` per recipient in order; ``messages`` is
+        duck-typed (``.kind`` + ``.trace_meta()``) so per-peer
+        transaction batches — the most numerous traffic in a loaded
+        campaign — emit without a Python call per record beyond
+        ``trace_meta`` itself.  Kind and block-hash interning is cached
+        across the runs of equal values these waves produce, and
+        recipient symbols come from the per-node cache.
         """
         sym = self._sym
         rows = self._gossip_rows
@@ -506,7 +514,7 @@ class TraceRecorder:
                 is_tx = kind == "Transactions"
             if is_tx:
                 # Inlined TransactionsMessage.trace_meta: tx batches are
-                # the bulk of send_each traffic, and the direct length
+                # the bulk of routed traffic, and the direct length
                 # read skips a method call and tuple per record.
                 block_hash = ""
                 tx_count = len(message.transactions)

@@ -2,19 +2,14 @@
 
 :class:`Network` couples the discrete-event simulator, the latency model
 and the discovery service.  Nodes send messages through
-:meth:`Network.send` (one recipient) or :meth:`Network.send_many` /
-:meth:`Network.send_each` (a whole gossip wave); the fabric samples
-delivery delays from the origin/destination regions and the message
-size, then schedules ``destination.deliver(sender_id, message)``.
-
-The wave paths are the hot ones: delays for all recipients come from one
-vectorized draw (:meth:`LatencyModel.delays`, bitwise-identical to the
-scalar draws), and the fault-free case schedules the whole wave against
-a single pooled :class:`BatchDeliveryEvent` through
-:meth:`Simulator.schedule_batch` — no per-message delivery object, no
-per-message ``heappush`` call.  Scalar sends skip the
-:class:`~repro.sim.events.Event` handle too: a :class:`DeliveryEvent`
-enters the heap directly via :meth:`Simulator.schedule_raw`.
+:meth:`Network.send` (one recipient), :meth:`Network.send_many` (one
+message to a gossip wave) or :meth:`Network.send_each` (a distinct
+message per recipient).  All three are one route: a wave of one message
+per recipient, priced by one :meth:`LatencyModel.delays` call from the
+origin/destination regions and the message sizes, and scheduled as one
+pooled :class:`WaveDelivery` record through the queue's batch entries,
+with no per-message delivery object.  Entry ``i`` fires
+``recipients[i].deliver(sender_id, messages[i])``.
 
 Connection management is symmetric: :meth:`Network.connect` installs a
 :class:`~repro.p2p.peer.Peer` record on both endpoints.
@@ -35,126 +30,17 @@ if TYPE_CHECKING:
     from repro.faults.injector import LinkFaultHooks
 
 
-class DeliveryEvent:
-    """A preallocated in-flight message delivery.
+class WaveDelivery:
+    """One routed wave's deliveries, pooled into a single record.
 
-    One of these is scheduled per *scalar-routed* message (single sends
-    and fault-layer copies); it sits in the event heap directly — the
-    class-level ``cancelled = False`` satisfies the queue's entry
-    protocol without a per-instance flag, and :meth:`callback` is what
-    the run loop invokes.  The recipient *member object* is resolved at
-    send time, so firing costs one set probe and one ``deliver`` call —
-    no per-delivery ``_members`` lookup.  There is no back-reference
-    cycle because the heap entry is dropped as it fires.
-    """
-
-    __slots__ = (
-        "network",
-        "link_key",
-        "sender_id",
-        "recipient_id",
-        "recipient",
-        "message",
-    )
-
-    #: Raw heap entries cannot be cancelled; the run loop checks this
-    #: attribute on every entry, so it is pinned as a class constant.
-    cancelled = False
-
-    def __init__(
-        self,
-        network: "Network",
-        link_key: tuple[int, int],
-        sender_id: int,
-        recipient_id: int,
-        recipient: "NetworkMember",
-        message: Message,
-    ) -> None:
-        self.network = network
-        self.link_key = link_key
-        self.sender_id = sender_id
-        self.recipient_id = recipient_id
-        self.recipient = recipient
-        self.message = message
-
-    @property
-    def profile_label(self) -> str:
-        # Per-kind label strings are interned in a module dict: the
-        # profiled loop asks for this once per delivered message, and
-        # the set of message kinds is tiny and fixed.
-        return _delivery_label(self.message.kind)
-
-    def callback(self) -> None:
-        # The link may have been torn down while the message was in flight.
-        network = self.network
-        if self.link_key in network._links:
-            self.recipient.deliver(self.sender_id, self.message)
-        elif network._trace.enabled:
-            network._record_drop(self.sender_id, self.recipient_id, self.message)
-
-
-class BatchDeliveryEvent:
-    """One gossip wave's deliveries, pooled into a single record.
-
-    ``fire(i)`` delivers the shared message to recipient ``i``.  A wave
-    of N recipients costs one of these objects plus N small heap tuples —
-    versus N :class:`DeliveryEvent` + N :class:`Event` objects on the old
-    scalar path.  The recipient member objects and the network's live
-    ``_links`` set are captured at send time (both survive unchanged for
-    the wave's lifetime — ``_links`` is mutated in place, never rebound),
-    so each fire is two list indexes, one set probe and the ``deliver``
-    call.
-    """
-
-    __slots__ = (
-        "network",
-        "links",
-        "sender_id",
-        "recipient_ids",
-        "recipients",
-        "link_keys",
-        "message",
-    )
-
-    cancelled = False
-
-    def __init__(
-        self,
-        network: "Network",
-        sender_id: int,
-        recipient_ids: Sequence[int],
-        recipients: list["NetworkMember"],
-        link_keys: list[tuple[int, int]],
-        message: Message,
-    ) -> None:
-        self.network = network
-        self.links = network._links
-        self.sender_id = sender_id
-        self.recipient_ids = recipient_ids
-        self.recipients = recipients
-        self.link_keys = link_keys
-        self.message = message
-
-    @property
-    def profile_label(self) -> str:
-        return _delivery_label(self.message.kind)
-
-    def fire(self, index: int) -> None:
-        if self.link_keys[index] in self.links:
-            self.recipients[index].deliver(self.sender_id, self.message)
-        elif self.network._trace.enabled:
-            self.network._record_drop(
-                self.sender_id, self.recipient_ids[index], self.message
-            )
-
-
-class EachDeliveryEvent:
-    """A pooled wave with a distinct message per recipient.
-
-    Used by transaction flushes, where every peer receives its own
-    ``Transactions`` batch in the same wave.  Resolution mirrors
-    :class:`BatchDeliveryEvent`: members and the live link set are
-    captured once at send time.
+    ``fire(i)`` delivers ``messages[i]`` to recipient ``i``.  A wave of N
+    recipients costs one of these objects plus N small heap tuples.  The
+    recipient member objects and the network's live ``_links`` set are
+    captured at send time (both survive unchanged for the wave's
+    lifetime — ``_links`` is mutated in place, never rebound), so each
+    fire is three list indexes, one set probe and the ``deliver`` call.
+    The class-level ``cancelled = False`` satisfies the queue's entry
+    protocol without a per-instance flag.
     """
 
     __slots__ = (
@@ -174,8 +60,8 @@ class EachDeliveryEvent:
         network: "Network",
         sender_id: int,
         recipient_ids: Sequence[int],
-        recipients: list["NetworkMember"],
-        link_keys: list[tuple[int, int]],
+        recipients: Sequence["NetworkMember"],
+        link_keys: Sequence[tuple[int, int]],
         messages: Sequence[Message],
     ) -> None:
         self.network = network
@@ -188,9 +74,13 @@ class EachDeliveryEvent:
 
     @property
     def profile_label(self) -> str:
+        # Per-kind label strings are interned in a module dict: the
+        # profiled loop asks for this once per delivered message, and
+        # the set of message kinds is tiny and fixed.
         return _delivery_label(self.messages[0].kind)
 
     def fire(self, index: int) -> None:
+        # The link may have been torn down while the message was in flight.
         if self.link_keys[index] in self.links:
             self.recipients[index].deliver(self.sender_id, self.messages[index])
         elif self.network._trace.enabled:
@@ -259,13 +149,12 @@ class Network:
         # The recorder object is stable for the simulator's lifetime, so
         # binding it once here is safe even if tracing is enabled later.
         self._trace = simulator.trace
-        # Fault-free deliveries push straight into the event queue.  The
-        # simulator's schedule wrappers only re-validate that each time is
+        # Fault-free waves push straight into the event queue.  The
+        # simulator's schedule wrapper only re-validates that each time is
         # not in the past, and sampled delays are clamped to >= 1e-6 s —
         # ``now + delay`` can never precede ``now`` — so the wrapper is
         # pure per-wave overhead here.  Fault-layer copies keep going
-        # through :meth:`Simulator.schedule_raw`, which still validates.
-        self._push_raw = simulator._queue.push_raw
+        # through :meth:`Simulator.schedule_batch`, which still validates.
         self._push_batch = simulator._queue.push_batch
         self.discovery = DiscoveryService()
         self._members: dict[int, NetworkMember] = {}
@@ -364,131 +253,25 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def send(self, sender_id: int, recipient_id: int, message: Message) -> float:
-        """Route ``message``; returns the sampled delivery delay (seconds).
+        """Route ``message`` to one peer; returns the sampled delay (seconds).
 
         Messages are only routed over established connections, mirroring
         devp2p's session semantics.
         """
-        key = (
-            (sender_id, recipient_id)
-            if sender_id < recipient_id
-            else (recipient_id, sender_id)
-        )
-        if key not in self._links:
-            raise ConfigurationError(
-                f"no connection between {sender_id!r} and {recipient_id!r}"
-            )
-        # Links only exist between registered members, so direct indexing
-        # is safe here and skips a per-message lookup-and-raise round.
-        members = self._members
-        sender = members[sender_id]
-        recipient = members[recipient_id]
-        size = message.size_bytes
-        delay = self.latency.delay(sender.region, recipient.region, size)
-        self.messages_sent += 1
-        self.bytes_sent += size
-        simulator = self.simulator
-        if self.faults is None:
-            self._push_raw(
-                simulator.now + delay,
-                DeliveryEvent(self, key, sender_id, recipient_id, recipient, message),
-            )
-        else:
-            # Fault layer installed: it decides drop / duplicate / extra
-            # delay per surviving copy (partitions drop deterministically,
-            # probabilistic faults draw only from the faults.links stream).
-            names = self._names
-            for copy_delay in self.faults.route(
-                message.kind,
-                names[sender_id],
-                names[recipient_id],
-                sender.region.value,
-                recipient.region.value,
-                delay,
-            ):
-                simulator.schedule_raw(
-                    simulator.now + copy_delay,
-                    DeliveryEvent(
-                        self, key, sender_id, recipient_id, recipient, message
-                    ),
-                )
-        if self._trace.enabled:
-            self._record_send(sender_id, recipient_id, message, size, delay)
-        return delay
+        return self._route(sender_id, (recipient_id,), (message,))[0]
 
     def send_many(
         self, sender_id: int, recipient_ids: Sequence[int], message: Message
     ) -> list[float]:
         """Route one ``message`` to every recipient in a single wave.
 
-        Behaviourally identical to calling :meth:`send` once per
-        recipient in order — same RNG draw order, same delays, same
-        counters, same trace records, same fault decisions — but the
-        delays come from one vectorized draw and the fault-free path
-        schedules the whole wave against one pooled
-        :class:`BatchDeliveryEvent`.  The wave takes ownership of
-        ``recipient_ids`` (callers hand over freshly built lists; do not
-        mutate afterwards).  Returns the per-recipient delays.
+        The wave takes ownership of ``recipient_ids`` (callers hand over
+        freshly built lists; do not mutate afterwards).  Returns the
+        per-recipient delays.
         """
-        count = len(recipient_ids)
-        if count == 0:
-            return []
-        if count == 1:
+        if len(recipient_ids) == 1:
             return [self.send(sender_id, recipient_ids[0], message)]
-        links = self._links
-        members = self._members
-        sender = members[sender_id]
-        link_keys: list[tuple[int, int]] = []
-        recipients: list[NetworkMember] = []
-        for recipient_id in recipient_ids:
-            key = (
-                (sender_id, recipient_id)
-                if sender_id < recipient_id
-                else (recipient_id, sender_id)
-            )
-            if key not in links:
-                raise ConfigurationError(
-                    f"no connection between {sender_id!r} and {recipient_id!r}"
-                )
-            link_keys.append(key)
-            recipients.append(members[recipient_id])
-        size = message.size_bytes
-        delays = self.latency.delays(
-            sender.region, [member.region for member in recipients], size
-        )
-        self.messages_sent += count
-        self.bytes_sent += size * count
-        now = self.simulator.now
-        if self.faults is None:
-            batch = BatchDeliveryEvent(
-                self, sender_id, recipient_ids, recipients, link_keys, message
-            )
-            self._push_batch([now + delay for delay in delays], batch)
-        else:
-            self._route_faulted(
-                sender_id, recipient_ids, link_keys, [message] * count, delays
-            )
-        if self._trace.enabled:
-            # One batched emit per wave: the per-message context (kind,
-            # sender, block hash, tx count) is resolved once instead of
-            # once per recipient.
-            names = self._names
-            regions = self._regions
-            block_hash, tx_count = message.trace_meta()
-            self._trace.gossip_wave(
-                now,
-                message.kind,
-                names[sender_id],
-                regions[sender_id],
-                recipient_ids,
-                names,
-                regions,
-                size,
-                delays,
-                block_hash,
-                tx_count,
-            )
-        return delays
+        return self._route(sender_id, recipient_ids, [message] * len(recipient_ids))
 
     def send_each(
         self,
@@ -499,19 +282,35 @@ class Network:
         """Route a distinct message to each recipient in a single wave.
 
         ``messages[i]`` goes to ``recipient_ids[i]``; serialisation
-        delays honour each message's own size.  Equivalent to the scalar
-        :meth:`send` loop, like :meth:`send_many`, and takes ownership of
-        ``recipient_ids`` / ``messages`` the same way.  Returns the
-        per-recipient delays.
+        delays honour each message's own size.  Takes ownership of both
+        sequences like :meth:`send_many`.  Returns the per-recipient
+        delays.
         """
-        count = len(recipient_ids)
-        if count == 0:
-            return []
-        if count == 1:
+        if len(recipient_ids) == 1:
             return [self.send(sender_id, recipient_ids[0], messages[0])]
+        return self._route(sender_id, recipient_ids, messages)
+
+    def _route(
+        self,
+        sender_id: int,
+        recipient_ids: Sequence[int],
+        messages: Sequence[Message],
+    ) -> list[float]:
+        """Price, schedule and trace ``messages[i]`` to ``recipient_ids[i]``.
+
+        The one routing body behind :meth:`send`, :meth:`send_many` and
+        :meth:`send_each`.  Delays for the whole wave come from one
+        :meth:`LatencyModel.delays` call.  Fault-free, the wave enters the
+        queue as one pooled :class:`WaveDelivery`.  With a fault layer
+        installed, ``faults.route`` decides drop / duplicate / extra delay
+        per recipient in order (partitions drop deterministically,
+        probabilistic faults draw only from the ``faults.links`` stream),
+        and the surviving copies enter the queue as one record in that
+        order, so their sequence numbers, and thus their firing order
+        among equal times, follow recipient order.
+        """
         links = self._links
         members = self._members
-        sender = members[sender_id]
         link_keys: list[tuple[int, int]] = []
         recipients: list[NetworkMember] = []
         for recipient_id in recipient_ids:
@@ -525,26 +324,54 @@ class Network:
                     f"no connection between {sender_id!r} and {recipient_id!r}"
                 )
             link_keys.append(key)
+            # Links only exist between registered members, so direct
+            # indexing is safe and skips a per-message lookup-and-raise.
             recipients.append(members[recipient_id])
         sizes = [message.size_bytes for message in messages]
         delays = self.latency.delays(
-            sender.region, [member.region for member in recipients], sizes
+            members[sender_id].region, [member.region for member in recipients], sizes
         )
-        self.messages_sent += count
+        self.messages_sent += len(delays)
         self.bytes_sent += sum(sizes)
         now = self.simulator.now
-        if self.faults is None:
-            batch = EachDeliveryEvent(
-                self, sender_id, recipient_ids, recipients, link_keys, messages
+        names = self._names
+        regions = self._regions
+        faults = self.faults
+        if faults is None:
+            self._push_batch(
+                [now + delay for delay in delays],
+                WaveDelivery(
+                    self, sender_id, recipient_ids, recipients, link_keys, messages
+                ),
             )
-            self._push_batch([now + delay for delay in delays], batch)
         else:
-            self._route_faulted(
-                sender_id, recipient_ids, link_keys, messages, delays
+            sender_name = names[sender_id]
+            sender_region = regions[sender_id]
+            times: list[float] = []
+            picks: list[int] = []
+            for index, recipient_id in enumerate(recipient_ids):
+                for copy_delay in faults.route(
+                    messages[index].kind,
+                    sender_name,
+                    names[recipient_id],
+                    sender_region,
+                    regions[recipient_id],
+                    delays[index],
+                ):
+                    times.append(now + copy_delay)
+                    picks.append(index)
+            self.simulator.schedule_batch(
+                times,
+                WaveDelivery(
+                    self,
+                    sender_id,
+                    [recipient_ids[i] for i in picks],
+                    [recipients[i] for i in picks],
+                    [link_keys[i] for i in picks],
+                    [messages[i] for i in picks],
+                ),
             )
         if self._trace.enabled:
-            names = self._names
-            regions = self._regions
             self._trace.gossip_each(
                 now,
                 names[sender_id],
@@ -558,80 +385,9 @@ class Network:
             )
         return delays
 
-    def _route_faulted(
-        self,
-        sender_id: int,
-        recipient_ids: Sequence[int],
-        link_keys: list[tuple[int, int]],
-        messages: Sequence[Message],
-        delays: list[float],
-    ) -> None:
-        """Per-recipient fault routing for a wave (slow path).
-
-        Consults ``faults.route`` in recipient order with the
-        batch-sampled delays, so the ``faults.links`` stream sees exactly
-        the draws the scalar loop would make.
-        """
-        faults = self.faults
-        assert faults is not None
-        members = self._members
-        names = self._names
-        simulator = self.simulator
-        now = simulator.now
-        sender_name = names[sender_id]
-        sender_region = members[sender_id].region.value
-        for index, recipient_id in enumerate(recipient_ids):
-            message = messages[index]
-            recipient = members[recipient_id]
-            for copy_delay in faults.route(
-                message.kind,
-                sender_name,
-                names[recipient_id],
-                sender_region,
-                recipient.region.value,
-                delays[index],
-            ):
-                simulator.schedule_raw(
-                    now + copy_delay,
-                    DeliveryEvent(
-                        self,
-                        link_keys[index],
-                        sender_id,
-                        recipient_id,
-                        recipient,
-                        message,
-                    ),
-                )
-
     # ------------------------------------------------------------------ #
     # Trace emission
     # ------------------------------------------------------------------ #
-
-    def _record_send(
-        self,
-        sender_id: int,
-        recipient_id: int,
-        message: Message,
-        size: int,
-        delay: float,
-    ) -> None:
-        # Members never leave the fabric, so the name/region caches
-        # built at registration are authoritative — no fallbacks here.
-        names = self._names
-        regions = self._regions
-        block_hash, tx_count = message.trace_meta()
-        self._trace.gossip_send(
-            self.simulator.now,
-            message.kind,
-            names[sender_id],
-            names[recipient_id],
-            regions[sender_id],
-            regions[recipient_id],
-            size,
-            delay,
-            block_hash,
-            tx_count,
-        )
 
     def _record_drop(
         self, sender_id: int, recipient_id: int, message: Message

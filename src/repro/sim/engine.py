@@ -7,9 +7,9 @@ engine drives them in deterministic order until a time horizon or event
 budget is exhausted.
 
 Hot senders bypass the :class:`~repro.sim.events.Event` handle entirely:
-:meth:`Simulator.schedule_raw` enqueues a pooled event-like object (one
-per message delivery) and :meth:`Simulator.schedule_batch` enqueues a
-whole gossip wave against a single shared batch record — see
+:meth:`Simulator.schedule_raw` enqueues a pooled event-like object (a
+node's import phases) and :meth:`Simulator.schedule_batch` enqueues a
+whole routed message wave against a single shared batch record — see
 :mod:`repro.sim.events` for the entry layouts.  The run loops below
 operate directly on the heap so both layouts dispatch without an
 intermediate wrapper.
@@ -126,7 +126,7 @@ class Simulator:
         ``event`` must expose ``cancelled`` (fixed ``False``) and a
         zero-argument ``callback()`` method.  No :class:`Event` handle is
         allocated, so the entry cannot be cancelled — this is the
-        fire-and-forget path for message deliveries.
+        fire-and-forget path for pooled records such as import phases.
         """
         if time < self.now:
             raise SimulationError(

@@ -14,7 +14,7 @@ Two entry layouts share one heap:
   is either an :class:`Event` handle or a pooled *event-like* object
   (``cancelled`` attribute + zero-argument ``callback()`` method) pushed
   through :meth:`EventQueue.push_raw`, which skips the handle allocation
-  for fire-and-forget work such as message deliveries.
+  for fire-and-forget work such as a node's import phases.
 * ``(time, priority, sequence, batch, index)`` — one element of a batch
   pushed through :meth:`EventQueue.push_batch`.  ``batch`` is shared by
   the whole wave and must expose ``cancelled`` plus ``fire(index)``.

@@ -7,7 +7,9 @@ Two pins protect the whole comparison methodology:
   pin in ``tests/integration/test_determinism.py``); and
 * a **nonzero** plan must be reproducible: identical seeds give
   byte-identical datasets across runs and across execution modes
-  (in-process sequential vs the multiprocess fleet).
+  (in-process sequential vs the multiprocess fleet), and the traced
+  seed-55 run under ``pindigest.FAULT_PLAN`` keeps its ``.trace.bin``
+  bytes across revisions.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
+from repro.devtools.pindigest import EXPECTED_PINS, compute_pin
 from repro.experiments.fleet import CampaignPool, fault_grid_jobs
 from repro.experiments.presets import small_campaign
 from repro.faults import ChurnSpec, FaultPlan, LinkFaultSpec
@@ -58,6 +61,20 @@ def test_nonzero_plan_is_reproducible_and_differs_from_clean_run():
     assert first.tx_receptions == second.tx_receptions
     # And the faults actually changed the world.
     assert _chain_digest(first) != SEED_55_DIGEST
+
+
+def test_faulted_trace_container_pinned_for_seed_55():
+    """Drop, duplicate, jitter and partition decisions keep their bytes.
+
+    The pinned plan fires every ``faults.route`` outcome; the trace
+    carries each routed message's sampled delay, every link-fault record
+    and every delivery, so a change to how the fabric schedules
+    surviving copies (order, count, timing) moves the digest.
+    """
+    assert (
+        compute_pin("small_seed55_faults_trace")
+        == EXPECTED_PINS["small_seed55_faults_trace"]
+    )
 
 
 def test_fault_grid_fleet_matches_sequential_byte_for_byte(tmp_path):

@@ -21,6 +21,72 @@ def _model(jitter: float = 0.0, **kwargs) -> LatencyModel:
     )
 
 
+class ReferenceLatency:
+    """The latency model's formula written out one message at a time.
+
+    ``base_latency_seconds * jitter + size / bandwidth + overhead``,
+    clamped to 1e-6; an unjittered model omits the multiplication.
+    Jitter is drawn in blocks of :attr:`LatencyModel.JITTER_BATCH`
+    (log-normal, then the tail mixture from the same generator) and
+    consumed from the block's tail.  Built from an identically seeded
+    generator, it is the independent reference the vectorized
+    :meth:`LatencyModel.delays` and the network's send route must match
+    bit for bit.
+    """
+
+    def __init__(self, rng: np.random.Generator, config: LatencyModelConfig) -> None:
+        self.rng = rng
+        self.config = config
+        self.buffer: list[float] = []
+
+    def jitter(self) -> float:
+        if not self.buffer:
+            config = self.config
+            batch = LatencyModel.JITTER_BATCH
+            draws = self.rng.lognormal(0.0, config.jitter_sigma, batch)
+            if config.tail_probability > 0:
+                draws[self.rng.random(batch) < config.tail_probability] *= (
+                    config.tail_multiplier
+                )
+            self.buffer = draws.tolist()
+        return self.buffer.pop()
+
+    def delay(self, origin: Region, destination: Region, size: int) -> float:
+        config = self.config
+        base = base_latency_seconds(origin, destination)
+        if config.jitter_sigma > 0:
+            base = base * self.jitter()
+        serialisation = size / config.bandwidth_bytes_per_s
+        return max(base + serialisation + config.per_message_overhead, 1e-6)
+
+    def delays(
+        self, origin: Region, destinations: list[Region], sizes: list[int]
+    ) -> list[float]:
+        return [
+            self.delay(origin, destination, size)
+            for destination, size in zip(destinations, sizes)
+        ]
+
+
+#: Wave sizes straddling ``LatencyModel.VECTOR_MIN`` (20): the scalar
+#: side, its last size, the first vector sizes and a large wave.
+WAVE_SIZES = (1, 2, 19, 20, 21, 64)
+
+_DESTINATIONS = tuple(Region)
+
+
+def _destinations(count: int) -> list[Region]:
+    return [_DESTINATIONS[i % len(_DESTINATIONS)] for i in range(count)]
+
+
+def _pair(jitter: float) -> tuple[LatencyModel, ReferenceLatency]:
+    config = LatencyModelConfig(jitter_sigma=jitter)
+    return (
+        LatencyModel(np.random.default_rng(17), config),
+        ReferenceLatency(np.random.default_rng(17), config),
+    )
+
+
 def test_base_latency_is_symmetric():
     for a in Region:
         for b in Region:
@@ -147,4 +213,49 @@ def test_expected_delay_includes_tail_mixture():
     )
     assert samples.mean() == pytest.approx(
         model.expected_delay(Region.NORTH_AMERICA, Region.EASTERN_ASIA), rel=0.05
+    )
+
+
+@pytest.mark.parametrize("count", WAVE_SIZES)
+@pytest.mark.parametrize("jitter", [0.0, 0.35])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-recipient"])
+def test_delays_match_the_closed_form_reference(count, jitter, shared):
+    model, reference = _pair(jitter)
+    destinations = _destinations(count)
+    sizes = [4_321] * count if shared else [137 * i + 60 for i in range(count)]
+    size_arg = 4_321 if shared else sizes
+    for _ in range(3):  # successive waves keep consuming the same stream
+        got = model.delays(Region.EASTERN_ASIA, destinations, size_arg)
+        assert got == reference.delays(Region.EASTERN_ASIA, destinations, sizes)
+        assert all(type(value) is float for value in got)
+
+
+@pytest.mark.parametrize("crossing", [15, 64])
+def test_delays_cross_a_jitter_refill_like_the_reference(crossing):
+    """A wave that outlasts the jitter buffer continues into a new block."""
+    model, reference = _pair(0.35)
+    first = _destinations(LatencyModel.JITTER_BATCH - 10)
+    second = _destinations(crossing)
+    for destinations in (first, second, first, second):
+        sizes = [300] * len(destinations)
+        assert model.delays(
+            Region.WESTERN_EUROPE, destinations, sizes
+        ) == reference.delays(Region.WESTERN_EUROPE, destinations, sizes)
+
+
+def test_delay_is_a_one_destination_wave():
+    model, reference = _pair(0.35)
+    for size in (0, 2_000, 90_000):
+        assert model.delay(Region.OCEANIA, Region.SOUTH_AMERICA, size) == (
+            reference.delay(Region.OCEANIA, Region.SOUTH_AMERICA, size)
+        )
+
+
+def test_empty_wave_draws_no_jitter():
+    model, reference = _pair(0.35)
+    model.delay(Region.NORTH_AMERICA, Region.EASTERN_ASIA)
+    reference.delay(Region.NORTH_AMERICA, Region.EASTERN_ASIA, 0)
+    assert model.delays(Region.NORTH_AMERICA, [], 0) == []
+    assert model.delay(Region.NORTH_AMERICA, Region.EASTERN_ASIA) == (
+        reference.delay(Region.NORTH_AMERICA, Region.EASTERN_ASIA, 0)
     )

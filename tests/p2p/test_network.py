@@ -10,6 +10,8 @@ from repro.geo.regions import Region
 from repro.p2p.messages import Message, NewBlockHashesMessage, StatusMessage
 from repro.p2p.network import Network
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from tests.geo.test_latency import WAVE_SIZES, ReferenceLatency
 
 
 class StubNode:
@@ -178,39 +180,65 @@ def _wave_world(n: int = 10, jitter: float = 0.35):
     return simulator, network, hub, spokes
 
 
-def test_send_many_matches_scalar_sends_exactly():
-    """One wave draws the same delays as a scalar send loop.
+def _reference(network: Network) -> ReferenceLatency:
+    """Closed-form delays from a generator seeded like the world's."""
+    return ReferenceLatency(
+        RngRegistry(123).stream("latency"), network.latency.config
+    )
 
-    Both worlds share a seed, so the jitter stream starts identically;
-    batched sampling must consume it in scalar order and produce
-    bit-identical delays — that is what keeps pinned runs stable.
+
+def _log_deliveries(sim: Simulator, spokes: list[StubNode]) -> list[tuple[float, int]]:
+    """Record ``(time, node_id)`` for every delivery, in firing order."""
+    fired: list[tuple[float, int]] = []
+    for spoke in spokes:
+
+        def deliver(sender_id, message, spoke=spoke, inner=spoke.deliver):
+            fired.append((sim.now, spoke.node_id))
+            inner(sender_id, message)
+
+        spoke.deliver = deliver
+    return fired
+
+
+def test_send_many_matches_scalar_sends_exactly():
+    """A wave's delays equal the per-message closed-form formula.
+
+    Covers waves on both sides of ``LatencyModel.VECTOR_MIN``; the
+    reference draws jitter one message at a time from an identically
+    seeded generator, so any change to draw order or arithmetic shows.
     """
     message = StatusMessage("0xh", 1.0, 0)
-    _, net_a, hub_a, spokes_a = _wave_world()
-    scalar = [net_a.send(hub_a.node_id, s.node_id, message) for s in spokes_a]
-    _, net_b, hub_b, spokes_b = _wave_world()
-    batched = net_b.send_many(
-        hub_b.node_id, [s.node_id for s in spokes_b], message
-    )
-    assert batched == scalar
-    assert net_b.messages_sent == net_a.messages_sent
-    assert net_b.bytes_sent == net_a.bytes_sent
+    for count in WAVE_SIZES:
+        _, net, hub, spokes = _wave_world(count)
+        delays = net.send_many(hub.node_id, [s.node_id for s in spokes], message)
+        expected = _reference(net).delays(
+            hub.region,
+            [s.region for s in spokes],
+            [message.size_bytes] * count,
+        )
+        assert delays == expected, count
+        assert net.messages_sent == count
+        assert net.bytes_sent == message.size_bytes * count
 
 
 def test_send_many_delivers_like_scalar_sends():
+    """Each copy fires at ``now + delay``, ties in recipient order."""
     message = StatusMessage("0xh", 1.0, 0)
-    sim_a, net_a, hub_a, spokes_a = _wave_world()
-    for s in spokes_a:
-        net_a.send(hub_a.node_id, s.node_id, message)
-    sim_a.run()
-    sim_b, net_b, hub_b, spokes_b = _wave_world()
-    net_b.send_many(hub_b.node_id, [s.node_id for s in spokes_b], message)
-    sim_b.run()
-    assert sim_b.now == sim_a.now
-    assert sim_b.events_processed == sim_a.events_processed
-    for sa, sb in zip(spokes_a, spokes_b):
-        assert sb.inbox == [(hub_a.node_id, message)]
-        assert sb.inbox == sa.inbox
+    for count in WAVE_SIZES:
+        sim, net, hub, spokes = _wave_world(count)
+        fired = _log_deliveries(sim, spokes)
+        sim.run(until=1.0)  # delays are measured from a nonzero clock
+        net.send_many(hub.node_id, [s.node_id for s in spokes], message)
+        sim.run()
+        expected = _reference(net).delays(
+            hub.region, [s.region for s in spokes], [message.size_bytes] * count
+        )
+        assert fired == sorted(
+            (1.0 + delay, spoke.node_id) for delay, spoke in zip(expected, spokes)
+        ), count
+        assert sim.events_processed == count
+        for spoke in spokes:
+            assert spoke.inbox == [(hub.node_id, message)]
 
 
 def test_send_each_honours_per_message_sizes():
@@ -229,21 +257,24 @@ def test_send_each_honours_per_message_sizes():
 
 
 def test_send_each_matches_scalar_sends_exactly():
-    messages = [
-        NewBlockHashesMessage(tuple((f"0x{i}", i) for i in range(count)))
-        for count in (1, 40, 3, 17, 9, 2, 55, 4, 21, 8)
-    ]
-    _, net_a, hub_a, spokes_a = _wave_world()
-    scalar = [
-        net_a.send(hub_a.node_id, s.node_id, m)
-        for s, m in zip(spokes_a, messages)
-    ]
-    _, net_b, hub_b, spokes_b = _wave_world()
-    batched = net_b.send_each(
-        hub_b.node_id, [s.node_id for s in spokes_b], messages
-    )
-    assert batched == scalar
-    assert net_b.bytes_sent == net_a.bytes_sent
+    """Per-recipient sizes price each message by its own payload."""
+    for count in WAVE_SIZES:
+        messages = [
+            NewBlockHashesMessage(
+                tuple((f"0x{j}", j) for j in range(1 + (7 * i) % 60))
+            )
+            for i in range(count)
+        ]
+        _, net, hub, spokes = _wave_world(count)
+        delays = net.send_each(hub.node_id, [s.node_id for s in spokes], messages)
+        expected = _reference(net).delays(
+            hub.region,
+            [s.region for s in spokes],
+            [m.size_bytes for m in messages],
+        )
+        assert delays == expected, count
+        assert net.messages_sent == count
+        assert net.bytes_sent == sum(m.size_bytes for m in messages)
 
 
 def test_send_many_single_recipient_falls_back_to_send():
