@@ -47,7 +47,7 @@ from repro.obs.blocktrace import (
     resolve_block_hash,
     vantage_deltas,
 )
-from repro.obs.export import Trace, convert_trace
+from repro.obs.export import Trace, convert_trace, require_bin_path
 from repro.stats import format_fleet_profile
 
 
@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=None, help="save data set as JSONL")
     run.add_argument(
         "--trace-out", type=Path, default=None,
-        help="enable ground-truth tracing and save the trace (a .bin "
-        "path streams the columnar container, anything else JSONL)",
+        help="enable ground-truth tracing and stream the trace to this "
+        ".trace.bin container",
     )
     run.add_argument(
         "--faults", type=Path, default=None, metavar="PLAN.json",
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="inspect or convert a ground-truth trace file"
+        "trace", help="inspect or export a ground-truth trace file"
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     show = trace_sub.add_parser(
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default subcommand: `repro trace FILE` works too)",
     )
     show.add_argument(
-        "trace_file", type=Path, help="trace file (.trace.bin or JSONL)"
+        "trace_file", type=Path, help="trace container (.trace.bin)"
     )
     show.add_argument(
         "block", nargs="?", default=None,
@@ -149,15 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     convert = trace_sub.add_parser(
         "convert",
-        help="convert a trace between the columnar container and JSONL",
+        help="export a .trace.bin container as type-tagged JSONL",
     )
     convert.add_argument(
-        "trace_file", type=Path, help="source trace (.trace.bin or JSONL)"
+        "trace_file", type=Path, help="source trace container (.trace.bin)"
     )
     convert.add_argument(
-        "out_file", type=Path,
-        help="destination; a .bin suffix writes the columnar container, "
-        "anything else JSONL",
+        "out_file", type=Path, help="JSONL destination (not .bin)"
     )
 
     analyze = sub.add_parser("analyze", help="run experiments on a data set")
@@ -185,14 +183,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = preset(args.preset, args.seed)
     if args.trace_out is not None:
+        try:
+            require_bin_path(args.trace_out)
+        except TraceError as error:
+            print(f"cannot write trace: {error}")
+            return 2
         config = replace(
             config, scenario=replace(config.scenario, trace=True)
         )
     if args.faults is not None:
         config = replace(config, faults=FaultPlan.load(args.faults))
     campaign = Campaign(config)
-    if args.trace_out is not None and args.trace_out.suffix == ".bin":
-        # Columnar traces stream to disk as blocks seal — the run never
+    if args.trace_out is not None:
+        # The trace streams to disk as blocks seal — the run never
         # retains the whole trace in memory.
         campaign.stream_trace_to(args.trace_out)
     dataset = campaign.run()
@@ -314,7 +317,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace converted to {args.out_file}")
         return 0
     try:
-        # Binary containers open as a streaming scan: analysis reads
+        # The container opens as a streaming scan: analysis reads
         # column blocks straight off disk instead of materializing the
         # whole trace in memory.
         trace = Trace.scan(args.trace_file)

@@ -27,7 +27,7 @@ from repro.measurement.instrumented import InstrumentedNode
 from repro.measurement.records import ChainBlockRecord
 from repro.node.config import measurement_node_config
 from repro.obs.binio import TraceBinWriter
-from repro.obs.export import TRACE_SCHEMA_VERSION, Trace
+from repro.obs.export import TRACE_SCHEMA_VERSION, Trace, require_bin_path
 from repro.obs.recorder import TraceRecorder
 from repro.workload.scenarios import Scenario, ScenarioConfig, build_scenario
 
@@ -183,20 +183,12 @@ class Campaign:
             TraceError: when the scenario was not built or tracing was
                 never enabled.
         """
-        recorder = self._traced_recorder()
-        if recorder.columns.sink is not None:
+        if self._traced_recorder().columns.sink is not None:
             raise TraceError(
-                "trace blocks are streaming to disk; finish with "
-                "save_trace() and analyze the written container"
+                "trace blocks were streamed to disk; analyze the "
+                "container that save_trace() finishes"
             )
-        recorder.sync_metrics()
-        canonical_hashes, head_hash = self._chain_context()
-        return Trace(
-            seed=self.config.scenario.seed,
-            canonical_hashes=canonical_hashes,
-            head_hash=head_hash,
-            columns=recorder.columns,
-        )
+        return self._assemble_trace()
 
     def stream_trace_to(self, path: str | Path) -> None:
         """Stream trace blocks to a ``.trace.bin`` at ``path`` as they seal.
@@ -207,6 +199,7 @@ class Campaign:
         record kind in memory.  :meth:`save_trace` (with the same path)
         finalizes the container.
         """
+        path = require_bin_path(path)
         self.deploy()
         recorder = self._traced_recorder()
         if self._trace_writer is not None:
@@ -232,44 +225,47 @@ class Campaign:
         writer.abort()
 
     def save_trace(self, path: str | Path, preset: str = "") -> Path:
-        """Write the run's trace at ``path`` (atomic); the suffix picks
-        the format (``.bin`` = columnar container, else JSONL).  See
-        :meth:`build_trace` for preconditions.
+        """Write the run's trace as a ``.trace.bin`` container at ``path``
+        (atomic).  See :meth:`build_trace` for preconditions.
 
-        With a stream attached (:meth:`stream_trace_to`), this seals the
-        remaining staging buffers and finalizes the container — ``path``
-        must then match the streaming path.
+        With a stream attached (:meth:`stream_trace_to`), the sealed
+        blocks are already on disk: this writes the staging tails and
+        finalizes the container through the same
+        :meth:`~repro.obs.export.Trace.write_to` as an in-memory save —
+        ``path`` must then match the streaming path.  The finished
+        stream stays attached as the sink, so the streamed trace cannot
+        be built or saved again from memory.
+
+        Raises:
+            TraceError: when ``path`` does not end in ``.bin`` or does
+                not match an attached stream, or the stream was already
+                finished.
         """
-        path = Path(path)
+        path = require_bin_path(path)
         writer = self._trace_writer
-        if writer is not None:
-            if path != writer.path:
-                raise TraceError(
-                    f"trace is streaming to {writer.path}; cannot save to "
-                    f"{path}"
-                )
-            recorder = self._traced_recorder()
-            recorder.sync_metrics()  # drain before seal resets counters
-            recorder.columns.seal_all()
-            canonical_hashes, head_hash = self._chain_context()
-            self._trace_writer = None
-            try:
-                writer.finalize(
-                    recorder.columns,
-                    seed=self.config.scenario.seed,
-                    preset=preset,
-                    canonical_hashes=canonical_hashes,
-                    head_hash=head_hash,
-                )
-            except BaseException:
-                writer.abort()
-                raise
-            recorder.columns.sink = None
-            return path
-        trace = self.build_trace()
+        if writer is None:
+            trace = self.build_trace()
+            writer = TraceBinWriter(path, TRACE_SCHEMA_VERSION)
+        elif path == writer.path:
+            trace = self._assemble_trace()
+        else:
+            raise TraceError(
+                f"trace is streaming to {writer.path}; cannot save to {path}"
+            )
         trace.preset = preset
-        trace.save(path)
-        return path
+        self._trace_writer = None
+        return trace.write_to(writer)
+
+    def _assemble_trace(self) -> Trace:
+        recorder = self._traced_recorder()
+        recorder.sync_metrics()
+        canonical_hashes, head_hash = self._chain_context()
+        return Trace(
+            seed=self.config.scenario.seed,
+            canonical_hashes=canonical_hashes,
+            head_hash=head_hash,
+            columns=recorder.columns,
+        )
 
     def _traced_recorder(self) -> TraceRecorder:
         if self.scenario is None:

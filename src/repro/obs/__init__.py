@@ -51,7 +51,6 @@ from repro.obs.records import (
     TraceRecord,
     TxFirstSeen,
     ValidationStarted,
-    trace_from_json,
     trace_to_json,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "render_propagation_tree",
     "resolve_block_hash",
     "series_key",
-    "trace_from_json",
     "trace_to_json",
     "vantage_deltas",
 ]

@@ -369,13 +369,6 @@ class TraceBinReader:
                 fh.seek(offset)
                 yield self._read_block(fh)
 
-    def iter_blocks(self) -> Iterator[KindBlock]:
-        """Every block in file (= seal) order."""
-        with self.path.open("rb") as fh:
-            for _, offset in self._index:
-                fh.seek(offset)
-                yield self._read_block(fh)
-
     def _read_block(self, fh: BinaryIO) -> KindBlock:
         head = fh.read(_BLOCK_HEAD.size)
         marker, kind_id, rows = _BLOCK_HEAD.unpack(head)
@@ -427,11 +420,3 @@ class TraceBinReader:
                     cols[field.name] = rows_out
         return KindBlock(kind, rows, cols)
 
-
-def is_binary_trace(path: str | Path) -> bool:
-    """True when ``path`` starts with the binary container magic."""
-    try:
-        with Path(path).open("rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False

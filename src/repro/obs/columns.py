@@ -1,12 +1,10 @@
 """Struct-packed columnar storage for trace records.
 
-The JSONL-era recorder allocated one frozen dataclass per record — fine
-for correctness, ruinous for throughput (the PR 4 bench measured a 3.5×
-slowdown with tracing on).  This module is the replacement hot path: a
-**per-kind ring buffer** of fixed-width columns that emit sites append
-into with no per-record object allocation, sealed into immutable blocks
-of :data:`BLOCK_ROWS` rows that either accumulate in memory or stream
-to a :class:`~repro.obs.binio.TraceBinWriter` sink.
+The trace hot path: a **per-kind ring buffer** of fixed-width columns
+that emit sites append into with no per-record object allocation,
+sealed into immutable blocks of :data:`BLOCK_ROWS` rows that either
+accumulate in memory or stream to a
+:class:`~repro.obs.binio.TraceBinWriter` sink.
 
 Layout doctrine (see DESIGN.md §5e):
 
@@ -299,7 +297,8 @@ class TraceColumns:
 
         Emit hot paths in :class:`~repro.obs.recorder.TraceRecorder`
         bypass this and extend the staging arrays directly; this path
-        serves format conversion and tests.
+        serves hand-built :class:`~repro.obs.export.Trace` objects and
+        tests.
         """
         kind = type(record)
         store = self.stores.get(kind)

@@ -1,21 +1,17 @@
-"""Trace persistence: the binary columnar container + legacy JSONL.
+"""Trace persistence: the binary columnar container and its JSONL export.
 
-Two on-disk forms round-trip through this module:
+``.trace.bin`` (:mod:`repro.obs.binio`) is the one trace format the
+program reads or writes: per-kind column blocks and interned symbol
+tables, written atomically and streamable both ways.  :meth:`Trace.save`
+writes an in-memory trace; a campaign streaming to disk finishes through
+the same :meth:`Trace.write_to`.  :meth:`Trace.scan` opens a container
+as a file-backed streaming view (:class:`TraceScan`) — both it and
+:class:`Trace` satisfy :class:`~repro.obs.columns.TraceSource`, the
+protocol :mod:`repro.obs.blocktrace` consumes.
 
-* ``.trace.bin`` — the columnar container (:mod:`repro.obs.binio`):
-  per-kind column blocks, interned symbol tables, written atomically
-  and streamable both ways.  This is what the fleet emits.
-* ``.trace.jsonl`` — the legacy line-per-record form: a header line
-  followed by one type-tagged record per line, same shape as
-  :class:`~repro.measurement.dataset.MeasurementDataset` files.  Kept
-  for interchange; ``repro trace convert`` moves between the two.
-
-:meth:`Trace.load` sniffs the format from the file magic, so every
-consumer keeps working on either.  For analysis over big traces use
-:meth:`Trace.scan`, which returns a file-backed streaming view
-(:class:`TraceScan`) instead of materializing records in memory — both
-it and :class:`Trace` satisfy :class:`~repro.obs.columns.TraceSource`,
-the protocol :mod:`repro.obs.blocktrace` consumes.
+:func:`convert_trace` (``repro trace convert``) exports a container as
+line-per-record JSONL for other tools: a header line, then one
+type-tagged record per line.  It is write-only; nothing here loads it.
 """
 
 from __future__ import annotations
@@ -26,13 +22,13 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import TraceError
-from repro.obs.binio import TraceBinReader, TraceBinWriter, is_binary_trace
+from repro.obs.binio import TraceBinReader, TraceBinWriter
 from repro.obs.columns import (
     KindBlock,
     TraceColumns,
     merge_kind_streams,
 )
-from repro.obs.records import TraceRecord, trace_from_json, trace_to_json
+from repro.obs.records import TraceRecord, trace_to_json
 
 #: Bumped whenever a record's field set changes incompatibly.
 TRACE_SCHEMA_VERSION = 2
@@ -72,17 +68,6 @@ class Trace:
             for record in records:
                 self.columns.append_record(record)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.preset == other.preset
-            and self.canonical_hashes == other.canonical_hashes
-            and self.head_hash == other.head_hash
-            and self.records == other.records
-        )
-
     # ------------------------------------------------------------------ #
     # TraceSource surface (what blocktrace analysis consumes)
     # ------------------------------------------------------------------ #
@@ -120,20 +105,24 @@ class Trace:
     # Persistence
     # ------------------------------------------------------------------ #
 
-    def save(self, path: str | Path) -> None:
-        """Write the trace, atomically; format follows the suffix.
+    def save(self, path: str | Path) -> Path:
+        """Write the trace as a ``.trace.bin`` container, atomically.
 
-        Paths ending in ``.bin`` get the binary columnar container,
-        anything else the legacy JSONL form.
+        Raises:
+            TraceError: when ``path`` does not end in ``.bin``.
         """
-        path = Path(path)
-        if path.suffix == ".bin":
-            self._save_binary(path)
-        else:
-            self._save_jsonl(path)
+        writer = TraceBinWriter(require_bin_path(path), TRACE_SCHEMA_VERSION)
+        return self.write_to(writer)
 
-    def _save_binary(self, path: Path) -> None:
-        writer = TraceBinWriter(path, TRACE_SCHEMA_VERSION)
+    def write_to(self, writer: TraceBinWriter) -> Path:
+        """Write every block through ``writer`` and finalize the container.
+
+        Per kind, in ``KIND_ORDER``: the retained sealed blocks, then a
+        view of the staging tail.  A writer that streamed blocks as they
+        sealed (:meth:`~repro.measurement.campaign.Campaign.stream_trace_to`)
+        has an empty ``blocks`` list behind it, so only the tails are
+        left to write.  Any failure removes the temp file.
+        """
         try:
             for store in self.columns.stores.values():
                 for block in store.blocks:
@@ -141,7 +130,7 @@ class Trace:
                 tail = store.staging_block()
                 if tail is not None:
                     writer.write_block(tail)
-            writer.finalize(
+            return writer.finalize(
                 self.columns,
                 seed=self.seed,
                 preset=self.preset,
@@ -152,103 +141,35 @@ class Trace:
             writer.abort()
             raise
 
-    def _save_jsonl(self, path: Path) -> None:
-        _write_jsonl(
-            path,
-            seed=self.seed,
-            preset=self.preset,
-            canonical_hashes=self.canonical_hashes,
-            head_hash=self.head_hash,
-            records=self.iter_records(),
-        )
-
     @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        """Load a trace fully into memory; format sniffed from the file.
+    def scan(cls, path: str | Path) -> "TraceScan":
+        """Open the ``.trace.bin`` container at ``path`` for analysis.
+
+        The returned :class:`TraceScan` reads block-at-a-time straight
+        off disk, so a 15k-peer trace never needs to fit in RAM.
 
         Raises:
-            TraceError: when the file is missing, empty, truncated,
-                corrupt, or written by a newer schema.
+            TraceError: when the file is missing, not a container
+                (a JSONL export included), truncated, corrupt, or
+                written by a newer schema.
         """
-        path = Path(path)
-        if not path.exists():
-            raise TraceError(f"no trace file at {path}")
-        if is_binary_trace(path):
-            return cls._load_binary(path)
-        return cls._load_jsonl(path)
+        return TraceScan(path)
 
-    @classmethod
-    def scan(cls, path: str | Path) -> "Trace | TraceScan":
-        """Open ``path`` for streaming analysis.
 
-        Binary containers get a :class:`TraceScan` (block-at-a-time
-        reads straight off disk — a 15k-peer trace never needs to fit
-        in RAM); JSONL falls back to a full in-memory load.  Both
-        returns satisfy :class:`~repro.obs.columns.TraceSource`.
-        """
-        path = Path(path)
-        if path.exists() and is_binary_trace(path):
-            return TraceScan(path)
-        return cls.load(path)
+def require_bin_path(path: str | Path) -> Path:
+    """``path`` as a :class:`Path`, when it names a ``.bin`` container.
 
-    @classmethod
-    def _load_binary(cls, path: Path) -> "Trace":
-        # Adopt the container's blocks and intern tables wholesale —
-        # no per-record decode on the load path.
-        reader = TraceBinReader(path, TRACE_SCHEMA_VERSION)
-        columns = TraceColumns()
-        columns.symbols.values_list = list(reader.symbols)
-        columns.symbols.update(
-            (symbol, index) for index, symbol in enumerate(reader.symbols)
+    Raises:
+        TraceError: for any other suffix — traces are only written as
+            ``.trace.bin``; JSONL is an export made from one.
+    """
+    path = Path(path)
+    if path.suffix != ".bin":
+        raise TraceError(
+            f"{path}: traces are written as .trace.bin containers; "
+            "export JSONL from one with `repro trace convert`"
         )
-        columns.ids.values_list = list(reader.ids)
-        columns.ids.update(
-            (value, index) for index, value in enumerate(reader.ids)
-        )
-        for block in reader.iter_blocks():
-            columns.stores[block.kind].blocks.append(block)
-        return cls(
-            seed=reader.seed,
-            preset=reader.preset,
-            canonical_hashes=reader.canonical_hashes,
-            head_hash=reader.head_hash,
-            columns=columns,
-        )
-
-    @classmethod
-    def _load_jsonl(cls, path: Path) -> "Trace":
-        trace = cls()
-        with path.open("r", encoding="utf-8") as fh:
-            header_line = fh.readline()
-            if not header_line.strip():
-                raise TraceError(f"{path} is empty")
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path} header is not valid JSON") from exc
-            if header.get("_type") != "TraceHeader":
-                raise TraceError(f"{path} missing trace header")
-            schema = int(header.get("schema", 0))
-            if schema > TRACE_SCHEMA_VERSION:
-                raise TraceError(
-                    f"{path} uses trace schema {schema}; this build reads "
-                    f"<= {TRACE_SCHEMA_VERSION}"
-                )
-            trace.seed = int(header.get("seed", 0))
-            trace.preset = str(header.get("preset", ""))
-            trace.canonical_hashes = tuple(header.get("canonical_hashes", ()))
-            trace.head_hash = str(header.get("head_hash", ""))
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceError(
-                        f"{path}:{lineno} is not valid JSON"
-                    ) from exc
-                trace.columns.append_record(trace_from_json(payload))
-        return trace
+    return path
 
 
 class TraceScan:
@@ -316,62 +237,42 @@ class TraceScan:
             self, self._reader.symbols, self._reader.ids
         )
 
-    def to_trace(self) -> Trace:
-        """Materialize the scan into a full in-memory :class:`Trace`."""
-        return Trace.load(self.path)
-
 
 def convert_trace(src: str | Path, dst: str | Path) -> Path:
-    """Convert a trace between the binary container and JSONL.
+    """Export the ``.trace.bin`` container at ``src`` as JSONL at ``dst``.
 
-    Direction follows the destination suffix (``.bin`` = columnar
-    container, else JSONL).  Binary-to-JSONL streams record-at-a-time,
-    so converting a mainnet-scale container never materializes the
-    whole trace.
+    The export is a header line followed by one type-tagged
+    :func:`~repro.obs.records.trace_to_json` line per record, in time
+    order.  It streams record-at-a-time, so exporting a mainnet-scale
+    container never materializes the whole trace, and lands atomically
+    (tmp + replace).  Nothing reads it back.
+
+    Raises:
+        TraceError: when ``src`` is not a readable container, or ``dst``
+            ends in ``.bin``.
     """
     dst = Path(dst)
-    source = Trace.scan(src)
-    if isinstance(source, TraceScan):
-        if dst.suffix == ".bin":
-            source.to_trace().save(dst)
-        else:
-            _write_jsonl(
-                dst,
-                seed=source.seed,
-                preset=source.preset,
-                canonical_hashes=source.canonical_hashes,
-                head_hash=source.head_hash,
-                records=source.iter_records(),
-            )
-    else:
-        source.save(dst)
-    return dst
-
-
-def _write_jsonl(
-    path: Path,
-    *,
-    seed: int,
-    preset: str,
-    canonical_hashes: tuple[str, ...],
-    head_hash: str,
-    records: Iterable[TraceRecord],
-) -> None:
-    """Write header + records as JSONL, atomically (tmp + replace)."""
+    if dst.suffix == ".bin":
+        raise TraceError(
+            f"{dst}: convert exports JSONL; .trace.bin is the container "
+            "format itself"
+        )
+    source = TraceScan(src)
     header: dict[str, Any] = {
         "_type": "TraceHeader",
         "schema": TRACE_SCHEMA_VERSION,
-        "seed": seed,
-        "preset": preset,
-        "canonical_hashes": list(canonical_hashes),
-        "head_hash": head_hash,
+        "seed": source.seed,
+        "preset": source.preset,
+        "canonical_hashes": list(source.canonical_hashes),
+        "head_hash": source.head_hash,
     }
-    tmp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp_path = dst.with_name(f"{dst.name}.{os.getpid()}.tmp")
     try:
         with tmp_path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
-            for record in records:
+            for record in source.iter_records():
                 fh.write(json.dumps(trace_to_json(record)) + "\n")
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, dst)
     finally:
         tmp_path.unlink(missing_ok=True)
+    return dst

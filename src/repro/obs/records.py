@@ -8,17 +8,16 @@ ground truth the measurement logs approximate, which is what lets
 ``repro trace`` quantify the measurement error the paper could only
 bound analytically.
 
-Records are frozen, slotted dataclasses with the same type-tagged JSON
-round-trip convention as the measurement records, so traces persist as
-JSONL next to the dataset cache.
+Records are frozen, slotted dataclasses.  Traces persist as the
+columnar ``.trace.bin`` container (:mod:`repro.obs.binio`);
+:func:`trace_to_json` gives the type-tagged JSON form that the JSONL
+export writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
-
-from repro.errors import TraceError
+from typing import Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +254,7 @@ TraceRecord = (
     | MetricsSample
 )
 
-#: Every record type above, keyed by class name (the JSONL type tag).
+#: Every record type above, keyed by class name (the JSON ``_type`` tag).
 TRACE_RECORD_TYPES: dict[str, type[Any]] = {
     cls.__name__: cls
     for cls in (
@@ -279,9 +278,6 @@ TRACE_RECORD_TYPES: dict[str, type[Any]] = {
     )
 }
 
-#: Fields deserialised back into tuples (JSON arrays otherwise load as lists).
-_TUPLE_FIELDS = ("block_hashes", "regions")
-
 
 def trace_to_json(record: TraceRecord) -> dict[str, Any]:
     """Serialise a trace record to a JSON-compatible dict with a type tag."""
@@ -289,21 +285,3 @@ def trace_to_json(record: TraceRecord) -> dict[str, Any]:
     payload["_type"] = type(record).__name__
     return payload
 
-
-def trace_from_json(payload: Mapping[str, Any]) -> TraceRecord:
-    """Inverse of :func:`trace_to_json`.
-
-    Raises:
-        TraceError: when the type tag is missing or unknown.
-    """
-    data = dict(payload)
-    type_name = data.pop("_type", None)
-    if type_name is None:
-        raise TraceError("trace record is missing its _type tag")
-    cls = TRACE_RECORD_TYPES.get(str(type_name))
-    if cls is None:
-        raise TraceError(f"unknown trace record type {type_name!r}")
-    for field_name in _TUPLE_FIELDS:
-        if field_name in data and isinstance(data[field_name], list):
-            data[field_name] = tuple(data[field_name])
-    return cls(**data)

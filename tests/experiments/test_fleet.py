@@ -111,7 +111,7 @@ def test_dedup_key_separates_trace_but_not_labels():
     traced = CampaignJob(preset_name="small", seed=7, trace=True)
     other_seed = CampaignJob(preset_name="small", seed=8)
     assert plain.dedup_key() == twin.dedup_key()
-    # A traced twin still has to run to export the .trace.jsonl sibling.
+    # A traced twin still has to run to write the .trace.bin sibling.
     assert plain.dedup_key() != traced.dedup_key()
     assert plain.dedup_key() != other_seed.dedup_key()
 
@@ -226,7 +226,7 @@ def test_traced_sweep_exports_trace_and_sim_metrics(tmp_path):
     """A traced job ships a loadable trace next to its cache entry and a
     full per-worker SimMetrics snapshot; a cached-dataset job without a
     trace sibling still spawns a worker to produce one."""
-    from repro.obs.export import Trace
+    from repro.obs.export import TraceScan
 
     cache_dir = tmp_path / "cache"
     pool = CampaignPool(jobs=1, cache_dir=cache_dir, use_disk=True)
@@ -248,15 +248,12 @@ def test_traced_sweep_exports_trace_and_sim_metrics(tmp_path):
     assert outcome.trace_path is not None and outcome.trace_path.exists()
     assert outcome.trace_path.parent == cache_dir
     # The worker streams the columnar container, block by block.
-    from repro.obs.binio import is_binary_trace
-
     assert outcome.trace_path.name.endswith(".trace.bin")
-    assert is_binary_trace(outcome.trace_path)
-    trace = Trace.load(outcome.trace_path)
+    trace = TraceScan(outcome.trace_path)
     assert trace.seed == 3
     assert trace.preset == "small"
     assert trace.canonical_hashes == outcome.dataset.chain.canonical_hashes
-    assert len(trace.records) > 0
+    assert trace.record_count() > 0
 
     # Rerun: now both dataset and trace are cached — pure cache hit.
     rerun = pool.run([CampaignJob(preset_name="small", seed=3, trace=True)])

@@ -200,8 +200,11 @@ def test_faulted_run_emits_trace_records_and_metrics():
     assert snapshot.get("faults_link_faults_total{fault=drop}", 0) > 0
 
 
-def test_fault_trace_records_round_trip_as_json():
-    from repro.obs.records import trace_from_json, trace_to_json
+def test_fault_trace_records_round_trip_as_json(tmp_path):
+    import json
+
+    from repro.obs.export import Trace, convert_trace
+    from repro.obs.records import trace_to_json
     from repro.obs import (
         LinkFault,
         NodeOffline,
@@ -224,5 +227,12 @@ def test_fault_trace_records_round_trip_as_json():
             extra_delay=0.25,
         ),
     ]
-    for record in records:
-        assert trace_from_json(trace_to_json(record)) == record
+    container = Trace(seed=1, records=records).save(tmp_path / "f.trace.bin")
+    exported = convert_trace(container, tmp_path / "f.trace.jsonl")
+    lines = exported.read_text(encoding="utf-8").splitlines()
+    scan = Trace.scan(container)
+    assert len(lines) == scan.record_count() + 1
+    scanned = list(scan.iter_records())
+    assert scanned == sorted(records, key=lambda record: record.time)
+    for line, record in zip(lines[1:], scanned):
+        assert json.loads(line) == json.loads(json.dumps(trace_to_json(record)))

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.devtools.pindigest import EXPECTED_PINS, chain_digest
+from repro.errors import TraceError
 from repro.experiments.presets import small_campaign
 from repro.measurement.campaign import Campaign
 
@@ -119,6 +122,11 @@ def test_columnar_trace_container_is_byte_identical_for_seed_55(tmp_path):
             campaign.stream_trace_to(path)
         campaign.run()
         campaign.save_trace(path, preset="small")
+        if stream:
+            # The streamed blocks live only in the finished container.
+            for again in (campaign.build_trace, lambda: campaign.save_trace(path)):
+                with pytest.raises(TraceError, match="streamed to disk"):
+                    again()
         return path.read_bytes()
 
     saved = traced(tmp_path / "a.trace.bin", stream=False)

@@ -12,10 +12,9 @@ from repro.obs.binio import (
     END_MAGIC,
     TraceBinReader,
     TraceBinWriter,
-    is_binary_trace,
 )
 from repro.obs.columns import KIND_ORDER, TraceColumns, materialize_block
-from repro.obs.export import TRACE_SCHEMA_VERSION
+from repro.obs.export import TRACE_SCHEMA_VERSION, TraceScan
 
 from tests.obs.test_columns import sample_records
 
@@ -52,8 +51,9 @@ def test_all_kinds_round_trip_through_the_container(tmp_path):
     assert reader.record_count == len(originals)
 
     decoded = []
-    for block in reader.iter_blocks():
-        decoded.extend(materialize_block(block, reader.symbols, reader.ids))
+    for kind in KIND_ORDER:
+        for block in reader.iter_kind_blocks(kind):
+            decoded.extend(materialize_block(block, reader.symbols, reader.ids))
     # Exact dataclass equality, kind by kind: every field of every kind
     # survived the f64 pack, symbol/id interning, and the varlen codecs.
     by_kind = {type(r): r for r in decoded}
@@ -77,7 +77,7 @@ def test_no_tmp_sibling_survives_finalize(tmp_path):
     path = tmp_path / "run.trace.bin"
     _write_container(path)
     assert [p.name for p in tmp_path.iterdir()] == ["run.trace.bin"]
-    assert is_binary_trace(path)
+    assert TraceScan(path).record_count() == len(sample_records())
 
 
 def test_writer_creates_missing_target_directory(tmp_path):
@@ -97,7 +97,8 @@ def test_abort_removes_the_partial_file(tmp_path):
     writer = TraceBinWriter(path, TRACE_SCHEMA_VERSION)
     writer.abort()
     assert list(tmp_path.iterdir()) == []
-    assert not is_binary_trace(path)
+    with pytest.raises(TraceError, match="no trace file"):
+        TraceScan(path)
 
 
 def test_write_after_finalize_is_rejected(tmp_path):
@@ -122,9 +123,8 @@ def _dummy_block():
 def test_non_container_file_is_rejected(tmp_path):
     path = tmp_path / "garbage.trace.bin"
     path.write_bytes(b"certainly not a trace container")
-    assert not is_binary_trace(path)
     with pytest.raises(TraceError, match="not a binary trace container"):
-        TraceBinReader(path, TRACE_SCHEMA_VERSION)
+        TraceScan(path)
 
 
 def test_missing_file_is_rejected(tmp_path):

@@ -1,10 +1,12 @@
-"""Trace record schema: type-tagged JSON round-trip."""
+"""Trace record schema: container round trip and type-tagged JSON export."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.errors import TraceError
+from repro.obs.export import Trace, convert_trace
 from repro.obs.records import (
     TRACE_RECORD_TYPES,
     BlockReceived,
@@ -13,7 +15,6 @@ from repro.obs.records import (
     HeadChanged,
     LotteryWin,
     MetricsSample,
-    trace_from_json,
     trace_to_json,
 )
 
@@ -52,30 +53,32 @@ _SAMPLES = [
 ]
 
 
+def _export(tmp_path, records) -> tuple[list, list]:
+    """Save ``records`` as a container, export it; (scanned, lines)."""
+    container = Trace(seed=1, records=records).save(tmp_path / "t.trace.bin")
+    exported = convert_trace(container, tmp_path / "t.trace.jsonl")
+    lines = exported.read_text(encoding="utf-8").splitlines()
+    scan = Trace.scan(container)
+    assert len(lines) == scan.record_count() + 1
+    return list(scan.iter_records()), [json.loads(line) for line in lines[1:]]
+
+
 @pytest.mark.parametrize("record", _SAMPLES, ids=lambda r: type(r).__name__)
-def test_round_trip_preserves_record(record):
-    payload = trace_to_json(record)
-    assert payload["_type"] == type(record).__name__
-    assert trace_from_json(payload) == record
+def test_round_trip_preserves_record(tmp_path, record):
+    scanned, exported = _export(tmp_path, [record])
+    assert scanned == [record]
+    assert exported == [json.loads(json.dumps(trace_to_json(record)))]
+    assert exported[0]["_type"] == type(record).__name__
 
 
-def test_tuple_fields_come_back_as_tuples():
-    # JSON arrays load as lists; the deserialiser must restore tuples so
-    # loaded records compare equal to freshly emitted ones.
-    import json
-
+def test_tuple_fields_come_back_as_tuples(tmp_path):
+    # The container restores tuples, so scanned records compare equal to
+    # freshly emitted ones; the JSON export writes them as arrays.
     record = _SAMPLES[0]
-    payload = json.loads(json.dumps(trace_to_json(record)))
-    loaded = trace_from_json(payload)
-    assert loaded == record
-    assert isinstance(loaded.block_hashes, tuple)
-
-
-def test_missing_and_unknown_type_tags_raise():
-    with pytest.raises(TraceError):
-        trace_from_json({"time": 1.0})
-    with pytest.raises(TraceError):
-        trace_from_json({"_type": "NotARecord", "time": 1.0})
+    (scanned,), (exported,) = _export(tmp_path, [record])
+    assert scanned == record
+    assert isinstance(scanned.block_hashes, tuple)
+    assert exported["block_hashes"] == list(record.block_hashes)
 
 
 def test_registry_covers_every_record_type():

@@ -93,7 +93,7 @@ def test_sweep_command_rejects_nonpositive_seeds(capsys):
 def test_trace_lifecycle(tmp_path, capsys):
     """run --trace-out → repro trace: summary, tree, and delta report."""
     ds_path = tmp_path / "ds.jsonl"
-    tr_path = tmp_path / "tr.jsonl"
+    tr_path = tmp_path / "tr.trace.bin"
     assert (
         main(
             [
@@ -133,7 +133,9 @@ def test_trace_lifecycle(tmp_path, capsys):
 
 
 def test_columnar_trace_convert_round_trip(tmp_path, capsys):
-    """run → .trace.bin → JSONL → .trace.bin: same analysis either way."""
+    """run → .trace.bin → JSONL export; the export is write-only."""
+    from repro.obs.export import Trace
+
     bin_path = tmp_path / "tr.trace.bin"
     assert (
         main(
@@ -148,25 +150,36 @@ def test_columnar_trace_convert_round_trip(tmp_path, capsys):
     )
     capsys.readouterr()
 
-    def summary(path) -> str:
-        assert main(["trace", str(path), "--limit", "3"]) == 0
-        return capsys.readouterr().out
-
-    columnar_summary = summary(bin_path)
-    assert "seed 95" in columnar_summary
-
-    # Columnar -> JSONL: the analysis output must not change with the
-    # storage format.
     jsonl_path = tmp_path / "tr.trace.jsonl"
     assert main(["trace", "convert", str(bin_path), str(jsonl_path)]) == 0
     assert f"trace converted to {jsonl_path}" in capsys.readouterr().out
-    assert summary(jsonl_path) == columnar_summary
+    lines = jsonl_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == Trace.scan(bin_path).record_count() + 1
+    assert '"_type": "TraceHeader"' in lines[0]
 
-    # JSONL -> columnar again: still the same report.
+    # The export is write-only: it cannot be analysed or exported again,
+    # and convert never writes a container.
+    assert main(["trace", str(jsonl_path), "--limit", "3"]) == 2
+    assert "cannot load trace" in capsys.readouterr().out
+    again_path = tmp_path / "again.trace.jsonl"
+    assert main(["trace", "convert", str(jsonl_path), str(again_path)]) == 2
+    assert "cannot convert trace" in capsys.readouterr().out
     back_path = tmp_path / "back.trace.bin"
-    assert main(["trace", "convert", str(jsonl_path), str(back_path)]) == 0
-    capsys.readouterr()
-    assert summary(back_path) == columnar_summary
+    assert main(["trace", "convert", str(bin_path), str(back_path)]) == 2
+    assert "cannot convert trace" in capsys.readouterr().out
+    assert not again_path.exists() and not back_path.exists()
+
+
+def test_run_rejects_a_non_container_trace_out(tmp_path, capsys):
+    trace_out = tmp_path / "x.jsonl"
+    assert (
+        main(["run", "--preset", "small", "--trace-out", str(trace_out)])
+        == 2
+    )
+    out = capsys.readouterr().out
+    assert "repro trace convert" in out
+    assert "campaign complete" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_command_failure_modes(tmp_path, capsys):
